@@ -1,54 +1,19 @@
-"""Hot kernels: batched Gaussian elimination over F_q and mod-p ranks.
+"""Hot kernels: batched Gaussian elimination over F_q.
 
 Matrix canonicalization dominates the runtime of basis construction (orbit
 tables, cover enumeration and intersection tables all reduce batches of tiny
-matrices mod q), so these loops are compiled with numba when numba is
-importable and run as plain numpy code otherwise; ``active_backend()``
-reports which.  ``QJORDAN_BACKEND=numpy`` selects the uncompiled path even
-where numba is installed.  An explicit ``QJORDAN_BACKEND=numba`` that cannot
-be met (numba not importable) falls back to numpy with a ``RuntimeWarning``
-naming both.  Both paths share one implementation.
+matrices mod q).  There is one kernel: plain Python loops over numpy int64
+arrays, so ``active_backend()`` always reports ``"numpy"``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
-
-_EXPLICIT = "QJORDAN_BACKEND" in os.environ
-_REQUESTED = os.environ.get("QJORDAN_BACKEND", "numba").strip().lower()
-if _REQUESTED not in ("numba", "numpy"):
-    raise ValueError(
-        f"QJORDAN_BACKEND must be 'numba' or 'numpy', got {_REQUESTED!r}"
-    )
-
-_ACTIVE = "numpy"
-if _REQUESTED == "numba":
-    try:
-        from numba import njit as _njit
-
-        _ACTIVE = "numba"
-    except ImportError:
-        if _EXPLICIT:
-            warnings.warn(
-                "QJORDAN_BACKEND=numba was requested but numba is not "
-                "importable; the kernels run on the numpy backend",
-                RuntimeWarning,
-            )
 
 
 def active_backend() -> str:
-    """The backend actually in use ('numba' or 'numpy')."""
-    return _ACTIVE
-
-
-def _jit(fn):
-    if _ACTIVE == "numba":
-        return _njit(cache=True)(fn)
-    fn.py_func = fn  # mirror the numba dispatcher attribute for tests
-    return fn
+    """The kernel that runs: always ``"numpy"`` (interpreted loops)."""
+    return "numpy"
 
 
 def inverse_table(q: int) -> np.ndarray:
@@ -59,7 +24,6 @@ def inverse_table(q: int) -> np.ndarray:
     return inv
 
 
-@_jit
 def rref_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     """Row-reduce every matrix of the (B, r, c) int64 batch mod q, in place.
 
@@ -101,7 +65,6 @@ def rref_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@_jit
 def rank_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     """Rank of every matrix of the (B, r, c) int64 batch mod q.
 
@@ -136,46 +99,3 @@ def rank_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
                 break
         ranks[b] = row
     return ranks
-
-
-@_jit
-def modp_rank(mat: np.ndarray, p: int) -> int:
-    """Rank of an int64 matrix over Z/p for a prime p < 2^31.
-
-    Entries must already be reduced mod p; products of reduced entries fit
-    in int64.  The matrix is clobbered.
-    """
-    nr, nc = mat.shape
-    row = 0
-    for col in range(nc):
-        piv = -1
-        for i in range(row, nr):
-            if mat[i, col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != row:
-            for j in range(col, nc):
-                t = mat[row, j]
-                mat[row, j] = mat[piv, j]
-                mat[piv, j] = t
-        # modular inverse by Fermat, square-and-multiply
-        a = mat[row, col]
-        inv = 1
-        e = p - 2
-        base = a % p
-        while e > 0:
-            if e & 1:
-                inv = (inv * base) % p
-            base = (base * base) % p
-            e >>= 1
-        for i in range(row + 1, nr):
-            if mat[i, col] != 0:
-                f = (mat[i, col] * inv) % p
-                for j in range(col, nc):
-                    mat[i, j] = (mat[i, j] - f * mat[row, j]) % p
-        row += 1
-        if row == nr:
-            break
-    return row

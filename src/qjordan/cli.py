@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -39,16 +38,8 @@ class RunConfig:
     m: int | None = None
     out: str | None = None
     verify_mode: str = "spot"
-    threads: int = 1
     oracle: bool = False
     path: str | None = None
-
-
-def _default_threads() -> int:
-    env = os.environ.get("QJORDAN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "spot", "none"),
         default="spot",
         help="verification mode after construction (default: spot)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap (accepted for configuration; execution is sequential)",
     )
 
     p = sub.add_parser("verify", help="fully verify a basis JSON file")
@@ -262,7 +247,6 @@ def main(argv=None) -> int:
         m=getattr(args, "m", None),
         out=getattr(args, "out", None),
         verify_mode=getattr(args, "verify", "spot"),
-        threads=getattr(args, "threads", None) or _default_threads(),
         oracle=getattr(args, "oracle", False),
         path=getattr(args, "path", None),
     )

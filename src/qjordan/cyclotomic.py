@@ -268,13 +268,6 @@ class CycInt:
         """Image under Z[w] -> Z/modulus sending w to zeta (of order p)."""
         return sum(a * pow(zeta, j, modulus) for j, a in enumerate(self.coeffs)) % modulus
 
-    def to_complex(self) -> complex:
-        """Floating approximation, for debugging output only."""
-        import cmath
-
-        w = cmath.exp(2j * cmath.pi / self.p)
-        return sum(a * w**j for j, a in enumerate(self.coeffs))
-
     def __repr__(self) -> str:
         return f"CycInt(p={self.p}, {self.coeffs})"
 

@@ -196,10 +196,6 @@ class Subspace:
     def pivot_rows(self) -> tuple[int, ...]:
         return self.sort_key()[1]
 
-    def free_entries(self) -> tuple[int, ...]:
-        """Non-pivot entries read column-major, the tiebreak of sort_key."""
-        return self.sort_key()[2]
-
     def sort_key(self) -> tuple:
         """Total order on subspaces of one ambient space: dimension, then
         pivot-row set lexicographically, then free entries column-major.

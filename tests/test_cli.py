@@ -38,9 +38,18 @@ def test_usage_error_on_bad_m(capsys):
 
 
 def test_unknown_arguments_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "--q", "2", "--n", "3", "--frobnicate"])
-    assert exc.value.code == 2
+    for extra in (["--frobnicate"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--q", "2", "--n", "3", *extra])
+        assert exc.value.code == 2, extra
+
+
+def test_retired_environment_knobs_are_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("QJORDAN_THREADS", "abc")
+    monkeypatch.setenv("QJORDAN_BACKEND", "sbcl")
+    code, out, _ = run_cli(capsys, "identities", "--q", "2", "--n", "3")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_construct_deterministic_output(tmp_path, capsys):

@@ -1,15 +1,12 @@
-"""Parity of the compiled and interpreted kernel paths, plus a naive oracle."""
-
-import importlib.util
-import os
-import subprocess
-import sys
+"""The F_q kernels against a naive oracle and against each other."""
 
 import numpy as np
 import pytest
 
 from qjordan import _kernels
 from qjordan.gflinalg import inv_table
+
+from modp import modp_rank
 
 
 def naive_rref(mat, q):
@@ -60,63 +57,11 @@ def test_rank_batch_matches_rref(q):
     assert np.array_equal(r1, r2)
 
 
-def test_compiled_and_python_paths_agree():
-    q = 3
-    rng = np.random.default_rng(11)
-    mats = random_batch(rng, q, count=50)
-    jit_ranks = _kernels.rref_batch(mats.copy(), q, inv_table(q))
-    py_ranks = _kernels.rref_batch.py_func(mats.copy(), q, inv_table(q))
-    assert np.array_equal(jit_ranks, py_ranks)
-    a = mats[0].copy()
-    b = mats[0].copy()
-    assert _kernels.modp_rank(a % 97, 97) == _kernels.modp_rank.py_func(b % 97, 97)
-
-
 def test_modp_rank_against_small_field():
     # rank over Z/p is rank over F_p; compare with rank_batch for prime p
     rng = np.random.default_rng(13)
     for p in (2, 3, 5):
         mats = random_batch(rng, p, count=60, rows=6, cols=6)
         expected = _kernels.rank_batch(mats.copy(), p, inv_table(p))
-        got = [_kernels.modp_rank(mats[i].copy(), p) for i in range(mats.shape[0])]
+        got = [modp_rank(mats[i].copy(), p) for i in range(mats.shape[0])]
         assert np.array_equal(expected, np.array(got))
-
-
-def test_backend_env_flag():
-    """The flag is honoured, or the fallback is announced; never misreported."""
-    code = "import qjordan; print(qjordan.active_backend())"
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, QJORDAN_BACKEND=backend)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        if backend == "numba" and importlib.util.find_spec("numba") is None:
-            assert out.stdout.strip() == "numpy"
-            assert "RuntimeWarning" in out.stderr and "numba" in out.stderr
-        else:
-            assert out.stdout.strip() == backend
-
-    env = dict(os.environ, QJORDAN_BACKEND="sbcl")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
-
-
-def test_numpy_backend_full_pipeline():
-    """The interpreted path must produce the identical basis."""
-    code = (
-        "import qjordan, json;"
-        "b = qjordan.construct_sjb(2, 3);"
-        "print(json.dumps(qjordan.sjb_to_json(b)))"
-    )
-    outs = []
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, QJORDAN_BACKEND=backend)
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert run.returncode == 0, run.stderr
-        outs.append(run.stdout)
-    assert outs[0] == outs[1]

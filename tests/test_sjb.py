@@ -24,7 +24,8 @@ from qjordan import (
     up_apply,
     verify_sjb,
 )
-from qjordan import _kernels
+
+from modp import modp_rank
 
 MODULUS = 2_013_265_921  # prime; 2, 3 and 5 all divide MODULUS - 1
 
@@ -49,7 +50,7 @@ def slice_spans_mod(basis, m):
     for r, vec in enumerate(vectors):
         for sub, coeff in vec.items():
             mat[r, index[sub]] = coeff.reduce_mod(MODULUS, zeta)
-    return int(_kernels.modp_rank(mat, MODULUS)) == len(verts)
+    return modp_rank(mat, MODULUS) == len(verts)
 
 
 def slice_spans_exact(basis, m):
