@@ -26,7 +26,7 @@ from .lattice import (
     all_coordinate_vectors,
     enumerate_all,
     enumerate_rank,
-    inner,
+    gram,
     up_apply,
 )
 from .qcombinatorics import galois_number, q_binomial
@@ -360,36 +360,45 @@ def verify_decomposition(n: int, q: int) -> Report:
             break
     checks.append(Check("up-splitting", not bad, bad))
 
-    # inner-product scalings on all basis pairs
+    # inner-product scalings and block orthogonality, read off the Gram
+    # matrix of the theta and gamma images (which live outside the
+    # hyperplane) and their Gram matrix against the embedded basis of B_q(n)
+    flat_gamma = [
+        (chi, y, img) for chi, imgs in gamma_images.items() for y, img in imgs
+    ]
+    outside = [img for _, img in theta_images] + [img for _, _, img in flat_gamma]
+    embedded = [LatticeVector.basis(x).embed(n + 1) for x in _all_subspaces(n, q)]
+    nt = len(theta_images)
+    full = gram(outside, outside)
+    nonzero = full.any(axis=-1)
+    theta_gram, gamma_gram = full[:nt, :nt], full[nt:, nt:]
+    to_embedded = gram(outside, embedded).any(axis=-1)
+
     bad = ""
-    for i, (x, ix) in enumerate(theta_images):
-        for y, iy in theta_images[i:]:
+    hit = _first_scaling_miss(theta_gram, [q ** (n - x.k) for x, _ in theta_images])
+    if hit is not None:
+        (x, _), (y, _) = theta_images[hit[0]], theta_images[hit[1]]
+        if x.k == y.k:
             expect = q ** (n - x.k) if x is y else 0
-            if x.k == y.k and inner(ix, iy).to_int() != expect:
-                bad = f"<theta {x!r}, theta {y!r}> != {expect}"
-                break
-            if x.k != y.k and not inner(ix, iy).is_zero:
-                bad = f"theta images of {x!r}, {y!r} not orthogonal"
-                break
-        if bad:
-            break
+            bad = f"<theta {x!r}, theta {y!r}> != {expect}"
+        else:
+            bad = f"theta images of {x!r}, {y!r} not orthogonal"
     checks.append(Check("theta-scaling", not bad, bad))
 
     bad = ""
+    lo = 0
     for chi, imgs in gamma_images.items():
-        for i, (y, iy) in enumerate(imgs):
-            for z, iz in imgs[i:]:
+        hi = lo + len(imgs)
+        block = gamma_gram[lo:hi, lo:hi]
+        hit = _first_scaling_miss(block, [q ** (n + y.k) for y, _ in imgs])
+        lo = hi
+        if hit is not None:
+            (y, _), (z, _) = imgs[hit[0]], imgs[hit[1]]
+            if y.k == z.k:
                 expect = q ** (n + y.k) if y is z else 0
-                got = inner(iy, iz)
-                if y.k == z.k and got.to_int() != expect:
-                    bad = f"c={chi.c}: <gamma {y!r}, gamma {z!r}> != {expect}"
-                    break
-                if y.k != z.k and not got.is_zero:
-                    bad = f"c={chi.c}: gamma images of {y!r}, {z!r} not orthogonal"
-                    break
-            if bad:
-                break
-        if bad:
+                bad = f"c={chi.c}: <gamma {y!r}, gamma {z!r}> != {expect}"
+            else:
+                bad = f"c={chi.c}: gamma images of {y!r}, {z!r} not orthogonal"
             break
     checks.append(Check("gamma-scaling", not bad, bad))
 
@@ -413,42 +422,41 @@ def verify_decomposition(n: int, q: int) -> Report:
             break
     checks.append(Check("gamma-intertwining", not bad, bad))
 
-    # orthogonality across blocks
+    # orthogonality across blocks, in the order of a pairwise scan: each
+    # theta image against its own embedded subspace and then every gamma
+    # image; each gamma image against the embedded lattice and then the
+    # later gamma images of other characters
     bad = ""
-    flat_gamma = [
-        (chi, y, img) for chi, imgs in gamma_images.items() for y, img in imgs
-    ]
-    for x, ix in theta_images:
-        if bad:
-            break
-        emb = LatticeVector.basis(x).embed(n + 1)
-        if not inner(ix, emb).is_zero:
+    theta_rows = np.concatenate(
+        [np.diag(to_embedded[:nt].diagonal()), nonzero[:nt, nt:]], axis=1
+    )
+    hit = _first_true(theta_rows)
+    if hit is not None:
+        x, _ = theta_images[hit[0]]
+        if hit[1] < nt:
             bad = f"theta image of {x!r} meets the embedded lattice"
-            break
-        for chi, y, iy in flat_gamma:
-            if not inner(ix, iy).is_zero:
-                bad = f"theta {x!r} not orthogonal to gamma {y!r} (c={chi.c})"
-                break
+        else:
+            chi, y, _ = flat_gamma[hit[1] - nt]
+            bad = f"theta {x!r} not orthogonal to gamma {y!r} (c={chi.c})"
     if not bad:
-        for i, (chi, y, iy) in enumerate(flat_gamma):
-            emb_ok = all(
-                inner(iy, LatticeVector.basis(x).embed(n + 1)).is_zero
-                for x in _all_subspaces(n, q)
-            )
-            if not emb_ok:
+        block_of = np.repeat(
+            np.arange(len(gamma_images)), [len(imgs) for imgs in gamma_images.values()]
+        )
+        later_other = np.triu(block_of[:, None] != block_of[None, :], k=1)
+        gamma_rows = np.concatenate(
+            [to_embedded[nt:], nonzero[nt:, nt:] & later_other], axis=1
+        )
+        hit = _first_true(gamma_rows)
+        if hit is not None:
+            chi, y, _ = flat_gamma[hit[0]]
+            if hit[1] < nt:
                 bad = f"gamma {y!r} (c={chi.c}) meets the embedded lattice"
-                break
-            for chj, z, iz in flat_gamma[i + 1 :]:
-                if chj is chi:
-                    continue  # same block handled by gamma-scaling
-                if not inner(iy, iz).is_zero:
-                    bad = (
-                        f"gamma blocks c={chi.c} and c={chj.c} not orthogonal "
-                        f"({y!r} vs {z!r})"
-                    )
-                    break
-            if bad:
-                break
+            else:
+                chj, z, _ = flat_gamma[hit[1] - nt]
+                bad = (
+                    f"gamma blocks c={chi.c} and c={chj.c} not orthogonal "
+                    f"({y!r} vs {z!r})"
+                )
     checks.append(Check("block-orthogonality", not bad, bad))
 
     # each hyperplane is hit by exactly q-1 characters
@@ -461,6 +469,21 @@ def verify_decomposition(n: int, q: int) -> Report:
     checks.append(Check("characters-per-hyperplane", not bad, bad))
 
     return Report(tuple(checks))
+
+
+def _first_true(mask: np.ndarray) -> tuple[int, int] | None:
+    """Row-major first True entry of a 2-D mask."""
+    hits = np.argwhere(mask)
+    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+
+
+def _first_scaling_miss(block: np.ndarray, diagonal: list[int]) -> tuple[int, int] | None:
+    """First pair i <= j, row-major, where the Gram ``block`` differs from the
+    diagonal matrix with the integers ``diagonal``."""
+    expect = np.zeros_like(block)
+    idx = np.arange(len(diagonal))
+    expect[idx, idx, 0] = diagonal
+    return _first_true(np.triu((block != expect).any(axis=-1)))
 
 
 def _all_subspaces(n: int, q: int) -> tuple[Subspace, ...]:

@@ -7,7 +7,9 @@ orthonormal basis and is conjugate-linear in its second argument.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -80,8 +82,11 @@ def all_coordinate_vectors(n: int, q: int) -> np.ndarray:
 def covers_of(x: Subspace) -> tuple[Subspace, ...]:
     """The subspaces covering x in B_q(n), i.e. x plus one new line.
 
-    Computed by adjoining every ambient vector and canonicalizing the whole
-    batch at once; results are cached per subspace since the up operator
+    Every cover is x plus one point of the projective space on x's non-pivot
+    rows: a vector that is zero on x's pivot rows and whose first nonzero
+    entry is 1.  Each of the [n-k]_q covers comes from exactly one such
+    vector, so the batch is canonicalized at once with nothing to
+    deduplicate; results are cached per subspace since the up operator
     revisits them constantly.
     """
     hit = _COVERS_CACHE.get(x)
@@ -91,18 +96,26 @@ def covers_of(x: Subspace) -> tuple[Subspace, ...]:
     if k == n:
         _COVERS_CACHE[x] = ()
         return ()
-    vecs = all_coordinate_vectors(n, q)
-    mats = np.empty((len(vecs), n, k + 1), dtype=np.int64)
-    mats[:, :, :k] = x.matrix.astype(np.int64)
-    mats[:, :, k] = vecs
-    seen = {}
-    for cand in subspaces_from_matrix_batch(q, mats):
-        if cand.k == k + 1:
-            seen.setdefault(cand, None)
-    result = tuple(sorted(seen, key=Subspace.sort_key))
-    assert len(result) == q_binomial(n - k, 1, q)
+    pivots = set(x.pivot_rows())
+    free_rows = [r for r in range(n) if r not in pivots]
+    points = _projective_points(n - k, q)
+    mats = np.zeros((len(points), n, k + 1), dtype=np.int64)
+    mats[:, :, :k] = x.matrix
+    mats[:, free_rows, k] = points
+    result = tuple(sorted(subspaces_from_matrix_batch(q, mats), key=Subspace.sort_key))
+    assert len(set(result)) == len(result) == q_binomial(n - k, 1, q)
     _COVERS_CACHE[x] = result
     return result
+
+
+@lru_cache(maxsize=None)
+def _projective_points(m: int, q: int) -> np.ndarray:
+    """One vector per point of PG(m-1, q): the nonzero vectors of F_q^m
+    whose first nonzero entry is 1, as an ([m]_q, m) int64 array."""
+    vecs = all_coordinate_vectors(m, q)
+    nonzero = vecs != 0
+    lead = vecs[np.arange(len(vecs)), nonzero.argmax(axis=1)]
+    return vecs[nonzero.any(axis=1) & (lead == 1)]
 
 
 class LatticeVector:
@@ -290,6 +303,81 @@ def inner(v: LatticeVector, w: LatticeVector) -> CycInt:
             if wc is not None:
                 total = total + vc * wc.conj()
     return total
+
+
+def gram(left: Sequence[LatticeVector], right: Sequence[LatticeVector]) -> np.ndarray:
+    """Every inner product <l, r> of two lists of vectors at once, exactly.
+
+    Returns an array of shape (len(left), len(right), q - 1) whose entry
+    [i, j] holds ``inner(left[i], right[j]).coeffs``; it is (0, 0, 0) when
+    both lists are empty.
+
+    Each side becomes q - 1 coefficient planes (the power-basis coefficients
+    of its Z[w] entries) over the S subspaces that lie in the supports of
+    both sides; terms anywhere else meet nothing.  The product of left plane
+    i with right plane j lands in the root-count slot (i - j) mod q, and the
+    slots G_0..G_(q-1) fold to the power basis as C_t = G_t - G_(q-1).
+    int64 is used only when 2 (q-1) S max|L| max|R| < 2^63 bounds every
+    partial sum; otherwise the planes hold Python ints.  Left rows go
+    through in blocks, so the work space beyond the result and the right
+    planes stays O(block * S).
+    """
+    vectors = [*left, *right]
+    if not vectors:
+        return np.zeros((0, 0, 0), dtype=np.int64)
+    for v in vectors:
+        vectors[0]._check_compatible(v)
+    q = vectors[0].q
+    on_right = {sub for v in right for sub in v._terms}
+    index: dict[Subspace, int] = {}
+    for v in left:
+        for sub in v._terms:
+            if sub in on_right:
+                index.setdefault(sub, len(index))
+    size = max(len(index), 1)
+    bound = 2 * (q - 1) * size * _max_coeff(left) * _max_coeff(right)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    out = np.zeros((q - 1, len(left), len(right)), dtype=dtype)
+    right_planes = _planes(right, index, q, dtype)
+    step = max(1, _GRAM_BLOCK // size)
+    for lo in range(0, len(left), step):
+        if right is left:
+            planes = right_planes[:, lo : lo + step]
+        else:
+            planes = _planes(left[lo : lo + step], index, q, dtype)
+        block = out[:, lo : lo + step]
+        for i in range(q - 1):
+            for j in range(q - 1):
+                prod = planes[i] @ right_planes[j].T
+                if j == i + 1:  # slot q-1: folds into every power-basis slot
+                    block -= prod
+                else:
+                    block[(i - j) % q] += prod
+    return np.moveaxis(out, 0, -1)
+
+
+_INT64_LIMIT = 1 << 63
+_GRAM_BLOCK = 1 << 13  # left-plane entries per block of rows
+
+
+def _max_coeff(vectors: Sequence[LatticeVector]) -> int:
+    """The largest |coefficient| on the power basis, at least 1."""
+    return max(
+        (abs(a) for v in vectors for c in v._terms.values() for a in c.coeffs),
+        default=1,
+    )
+
+
+def _planes(vectors, index: dict[Subspace, int], q: int, dtype) -> np.ndarray:
+    """(q-1, len(vectors), len(index)) power-basis coefficient planes; terms
+    on subspaces outside ``index`` are dropped."""
+    planes = np.zeros((q - 1, len(vectors), len(index)), dtype=dtype)
+    for row, v in enumerate(vectors):
+        for sub, coeff in v._terms.items():
+            col = index.get(sub)
+            if col is not None:
+                planes[:, row, col] = coeff.coeffs
+    return planes
 
 
 def norm_sq(v: LatticeVector) -> int:

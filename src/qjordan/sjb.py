@@ -30,10 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclotomic import CycInt
 from .gflinalg import Subspace
 from .haction import characters, gamma, theta
-from .lattice import LatticeVector, inner, norm_sq, up_apply
+from .lattice import LatticeVector, gram, inner, up_apply
 from .qcombinatorics import galois_number, is_prime, q_binomial, q_int
 from .reporting import Check, Report
 
@@ -168,8 +170,9 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     """Check every defining property of the basis, exactly.
 
     ``mode`` 'full' checks the up-operator chain condition on every vector
-    and orthogonality of every pair; 'spot' checks a deterministic sample of
-    both (all cheap structural checks still run on everything).
+    and orthogonality of every same-rank pair, read off one exact Gram matrix
+    per rank slice; 'spot' checks a deterministic sample of both (all cheap
+    structural checks still run on everything).
     """
     if mode not in ("full", "spot"):
         raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
@@ -233,7 +236,8 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     bad = ""
     for ci, chain in enumerate(basis.chains):
         k = chain.start_rank
-        norms = [norm_sq(v) for v in chain.vectors]
+        # compared in Z[w]: a tampered coefficient can make a norm irrational
+        norms = [inner(v, v) for v in chain.vectors]
         for u in range(k, n - k):
             expect = singular_value_sq(q, n, k, u) * norms[u - k]
             if norms[u + 1 - k] != expect:
@@ -274,20 +278,10 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     vectors = [(ci, rank, vec) for ci, rank, vec in basis.iter_vectors()]
     bad = ""
     if mode == "full":
-        for i in range(len(vectors)):
-            ci, ri, vi = vectors[i]
-            for j in range(i + 1, len(vectors)):
-                cj, rj, vj = vectors[j]
-                if ri != rj:
-                    continue  # different ranks have disjoint supports
-                if not inner(vi, vj).is_zero:
-                    bad = (
-                        f"vectors of chains {ci} and {cj} at rank {ri} "
-                        "are not orthogonal"
-                    )
-                    break
-            if bad:
-                break
+        first = _first_nonorthogonal_pair(vectors)
+        if first is not None:
+            (ci, rank, _), (cj, _, _) = vectors[first[0]], vectors[first[1]]
+            bad = f"vectors of chains {ci} and {cj} at rank {rank} are not orthogonal"
     else:
         count = len(vectors)
         for t in range(min(2000, count * (count - 1) // 2)):
@@ -304,6 +298,25 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     checks.append(Check(name, not bad, bad))
 
     return Report(tuple(checks))
+
+
+def _first_nonorthogonal_pair(vectors) -> tuple[int, int] | None:
+    """The lexicographically first index pair i < j of same-rank vectors
+    with a nonzero inner product, from one Gram matrix per rank slice.
+
+    ``vectors`` holds (chain, rank, vector) triples; vectors of different
+    ranks are never compared (in a sound basis their supports are disjoint).
+    """
+    by_rank: dict[int, list[int]] = {}
+    for idx, (_, rank, _) in enumerate(vectors):
+        by_rank.setdefault(rank, []).append(idx)
+    firsts = []
+    for members in by_rank.values():
+        block = [vectors[idx][2] for idx in members]
+        hits = np.argwhere(np.triu(gram(block, block).any(axis=-1), k=1))
+        if len(hits):
+            firsts.append((members[hits[0][0]], members[hits[0][1]]))
+    return min(firsts, default=None)
 
 
 def _spread(total: int, want: int) -> list[int]:

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qjordan import construct_sjb, sjb_to_json
 from qjordan.cli import main
 
 
@@ -142,3 +147,29 @@ def test_identities_command(capsys):
     assert json.loads(out)["ok"] is True
     code, _, err = run_cli(capsys, "identities", "--q", "2", "--n", "0")
     assert code == 2
+
+
+def test_verify_non_monomial_coefficient_exits_1(tmp_path, capsys):
+    payload = sjb_to_json(construct_sjb(3, 5))
+    payload["chains"][3]["vectors"][0]["terms"][0]["coeff"] = {"coeffs": [1, 1, 0, 0]}
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    failing = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert {"monomial-coefficients", "singular-values"} <= failing
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "qjordan", "decompose", "--q", "2", "--n", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True

@@ -253,3 +253,43 @@ def test_verify_decomposition_small():
         assert report.ok, report.summary()
     with pytest.raises(ValueError):
         verify_decomposition(0, 2)
+
+
+def test_theta_scaling_names_a_scaled_image(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    target, later = enumerate_rank(n, 1, q)[2], enumerate_rank(n, 2, q)[0]
+    original = haction.theta
+
+    def scaled(v):
+        image = original(v)
+        if v in (LatticeVector.basis(target), LatticeVector.basis(later)):
+            return image * 2
+        return image
+
+    monkeypatch.setattr(haction, "theta", scaled)
+    check = {c.name: c for c in verify_decomposition(n, q).checks}["theta-scaling"]
+    # both scaled images fail; the detail names the first in scan order
+    assert not check.passed
+    assert check.detail == f"<theta {target!r}, theta {target!r}> != {q ** (n - 1)}"
+
+
+def test_gamma_scaling_names_a_scaled_image(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    chi = list(characters(n, q))[3]
+    target = enumerate_rank(n - 1, 1, q)[0]
+    original = haction.gamma
+
+    def scaled(c, v):
+        image = original(c, v)
+        return image * 2 if c == chi and v == LatticeVector.basis(target) else image
+
+    monkeypatch.setattr(haction, "gamma", scaled)
+    check = {c.name: c for c in verify_decomposition(n, q).checks}["gamma-scaling"]
+    assert not check.passed
+    assert check.detail == (
+        f"c={chi.c}: <gamma {target!r}, gamma {target!r}> != {q ** (n + 1)}"
+    )

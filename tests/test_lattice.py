@@ -2,14 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjordan import (
     CycInt,
     LatticeVector,
     Subspace,
+    construct_sjb,
     covers_of,
+    enumerate_all,
     enumerate_rank,
+    gram,
     inner,
     norm_sq,
     q_binomial,
@@ -166,3 +172,86 @@ def test_zero_coefficients_dropped():
     assert v.is_zero and len(v) == 0
     w = LatticeVector(2, 2, {e1: 3}) + LatticeVector(2, 2, {e1: -3})
     assert w.is_zero
+
+
+@st.composite
+def vector_lists(draw):
+    """Two lists of vectors with arbitrary (often non-monomial) coefficients
+    over all of B_q(n), so right-hand supports often leave the left's."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    subs = enumerate_all(n, q)
+    coeffs = st.lists(st.integers(-50, 50), min_size=q - 1, max_size=q - 1)
+
+    def vectors():
+        out = []
+        for _ in range(draw(st.integers(0, 4))):
+            support = draw(st.lists(st.sampled_from(subs), max_size=6, unique=True))
+            out.append(
+                LatticeVector(q, n, {s: CycInt(q, tuple(draw(coeffs))) for s in support})
+            )
+        return out
+
+    return vectors(), vectors()
+
+
+def assert_gram_matches_inner(left, right, g):
+    assert g.shape[:2] == (len(left), len(right))
+    for i, v in enumerate(left):
+        for j, w in enumerate(right):
+            assert tuple(g[i, j]) == inner(v, w).coeffs, (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists())
+def test_gram_matches_inner(lists):
+    left, right = lists
+    assert_gram_matches_inner(left, right, gram(left, right))
+    assert_gram_matches_inner(left, left, gram(left, left))
+
+
+def test_gram_edge_lists():
+    subs = enumerate_rank(2, 1, 3)
+    v = LatticeVector(3, 2, {subs[0]: CycInt(3, (2, 1)), subs[1]: 5})
+    outside = LatticeVector(3, 2, {subs[2]: CycInt(3, (1, -1))})
+    assert gram([], []).shape == (0, 0, 0)
+    assert gram([], [v]).shape == (0, 1, 2)
+    assert gram([v], []).shape == (1, 0, 2)
+    for left, right in [([v], [v]), ([v], [outside]), ([outside], [v, outside])]:
+        assert_gram_matches_inner(left, right, gram(left, right))
+    with pytest.raises(ValueError):
+        gram([v], [LatticeVector.basis(Subspace.zero(3, 3))])
+
+
+def test_gram_falls_back_to_python_ints_past_the_int64_bound():
+    q, n = 5, 2
+    subs = enumerate_all(n, q)
+    rng = random.Random(41)
+    big = 2**40
+
+    def vector():
+        return LatticeVector(
+            q,
+            n,
+            {
+                s: CycInt(q, tuple(rng.randint(-big, big) for _ in range(q - 1)))
+                for s in rng.sample(subs, 5)
+            },
+        )
+
+    left = [vector() for _ in range(4)]
+    right = [vector() for _ in range(3)] + left[:1]
+    g = gram(left, right)
+    assert g.dtype == object
+    assert_gram_matches_inner(left, right, g)
+    small = [LatticeVector.basis(s) for s in subs[:3]]
+    assert gram(small, small).dtype == np.int64
+
+
+def test_gram_blocks_agree(monkeypatch):
+    basis = construct_sjb(3, 3)
+    block = basis.rank_slice(1)
+    whole = gram(block, block)
+    monkeypatch.setattr("qjordan.lattice._GRAM_BLOCK", 1)
+    assert np.array_equal(gram(block, block), whole)
+    assert_gram_matches_inner(block, block, whole)

@@ -265,3 +265,41 @@ def test_spot_mode_runs_and_passes():
     names = {c.name for c in report.checks}
     assert "chain-condition (sampled)" in names
     assert "orthogonality (sampled)" in names
+
+
+def pairwise_orthogonality_failures(basis):
+    """Details of every non-orthogonal same-rank pair, in the order of a scan
+    over all pairs."""
+    vectors = list(basis.iter_vectors())
+    return [
+        f"vectors of chains {ci} and {cj} at rank {ri} are not orthogonal"
+        for i, (ci, ri, vi) in enumerate(vectors)
+        for cj, rj, vj in vectors[i + 1 :]
+        if ri == rj and not inner(vi, vj).is_zero
+    ]
+
+
+def test_orthogonality_names_the_first_pair():
+    payload = sjb_to_json(construct_sjb(3, 3))
+    chains = payload["chains"]
+    starts = [c["start_rank"] for c in chains]
+    late = [ci for ci, k in enumerate(starts) if k == 1][-2:]
+    # one rank-1 vector becomes a single term of chain 0's rank-1 vector, so
+    # it meets every rank-1 vector through that subspace; one rank-2 vector
+    # becomes a copy of chain 0's, so rank 2 fails as well
+    chains[late[1]]["vectors"][0]["terms"] = chains[0]["vectors"][1]["terms"][:1]
+    chains[late[0]]["vectors"][1] = copy.deepcopy(chains[0]["vectors"][2])
+    basis = sjb_from_json(payload)
+    report = verify_sjb(basis)
+    (check,) = [c for c in report.checks if c.name == "orthogonality"]
+    failures = pairwise_orthogonality_failures(basis)
+    assert len(failures) > 2
+    assert not check.passed and check.detail == failures[0]
+
+
+def test_non_monomial_coefficient_fails_checks_instead_of_crashing():
+    payload = sjb_to_json(construct_sjb(3, 5))
+    payload["chains"][3]["vectors"][0]["terms"][0]["coeff"] = {"coeffs": [1, 1, 0, 0]}
+    report = verify_sjb(sjb_from_json(payload))
+    failing = {c.name for c in report.failures()}
+    assert {"monomial-coefficients", "singular-values"} <= failing
