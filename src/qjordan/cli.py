@@ -37,7 +37,7 @@ class RunConfig:
     n: int | None = None
     m: int | None = None
     out: str | None = None
-    verify_mode: str = "spot"
+    verify_mode: str = "full"
     oracle: bool = False
     path: str | None = None
 
@@ -60,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the basis JSON here instead of stdout")
     p.add_argument(
         "--verify",
-        choices=("full", "spot", "none"),
-        default="spot",
-        help="verification mode after construction (default: spot)",
+        choices=("full", "none"),
+        default="full",
+        help="verify the basis after construction (default: full)",
     )
 
     p = sub.add_parser("verify", help="fully verify a basis JSON file")
@@ -122,15 +122,19 @@ def cmd_construct(cfg: RunConfig) -> int:
     )
     if cfg.verify_mode == "none":
         return 0
-    report = verify_sjb(basis, mode=cfg.verify_mode)
+    report = verify_sjb(basis)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else VERIFY_ERROR
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    with open(cfg.path, "r", encoding="utf-8") as fh:
-        basis = sjb_from_json(json.load(fh))
-    report = verify_sjb(basis, mode="full")
+    try:
+        with open(cfg.path, "r", encoding="utf-8") as fh:
+            basis = sjb_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:
+        message = " ".join(str(exc).split())  # one line, whatever the cause
+        return _usage_error(f"cannot read basis file {cfg.path}: {message}")
+    report = verify_sjb(basis)
     _emit(report.to_json(), None)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else VERIFY_ERROR
@@ -145,7 +149,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 def cmd_scheme(cfg: RunConfig) -> int:
     basis = construct_sjb(cfg.n, cfg.q)
-    report = verify_sjb(basis, mode="spot")
+    report = verify_sjb(basis)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return VERIFY_ERROR
@@ -246,7 +250,7 @@ def main(argv=None) -> int:
         n=getattr(args, "n", None),
         m=getattr(args, "m", None),
         out=getattr(args, "out", None),
-        verify_mode=getattr(args, "verify", "spot"),
+        verify_mode=getattr(args, "verify", "full"),
         oracle=getattr(args, "oracle", False),
         path=getattr(args, "path", None),
     )

@@ -316,13 +316,17 @@ class Subspace:
         cols = obj["cols"]
         if len(cols) != k:
             raise ValueError(f"expected {k} columns, got {len(cols)}")
-        m = np.zeros((n, k), dtype=np.int64)
         for j, col in enumerate(cols):
             if len(col) != n:
                 raise ValueError(f"column {j} has length {len(col)}, ambient is {n}")
+        m = np.zeros((n, k), dtype=np.int64)
+        for j, col in enumerate(cols):
             m[:, j] = col
         # re-canonicalize: imported data is never trusted to be normal form
-        return cls.from_matrix(q, m)
+        sub = cls.from_matrix(q, m)
+        if sub.k != k:
+            raise ValueError(f"the {k} columns span a subspace of dimension {sub.k}")
+        return sub
 
 
 def schubert_normal_form(q: int, mat) -> Subspace:

@@ -356,8 +356,59 @@ def gram(left: Sequence[LatticeVector], right: Sequence[LatticeVector]) -> np.nd
     return np.moveaxis(out, 0, -1)
 
 
+def up_mismatches(
+    vectors: Sequence[LatticeVector], successors: Sequence[LatticeVector]
+) -> np.ndarray:
+    """A bool array whose entry i says whether U(vectors[i]) != successors[i].
+
+    The source columns are the subspaces in the vectors' supports, of any
+    rank, so a stray term gets the verdict ``up_apply`` gives it.  Each
+    target column (a cover of a source, or a subspace in a successor's
+    support) sums the coefficient planes of the sources it covers, and the
+    sums are compared with the successors' planes.  int64 is used only when
+    max|coeff| * S < 2^63 (S source columns) bounds every sum; otherwise the
+    planes hold Python ints.  Rows go through in blocks.
+    """
+    if len(vectors) != len(successors):
+        raise ValueError(f"{len(vectors)} vectors but {len(successors)} successors")
+    everything = [*vectors, *successors]
+    if not everything:
+        return np.zeros(0, dtype=bool)
+    for v in everything:
+        everything[0]._check_compatible(v)
+    supports = dict.fromkeys(sub for v in vectors for sub in v._terms)
+    sources = {sub: col for col, sub in enumerate(supports)}
+    inside: dict[Subspace, list[int]] = {}  # target -> the sources it covers
+    for sub, col in sources.items():
+        for cover in covers_of(sub):
+            inside.setdefault(cover, []).append(col)
+    for v in successors:
+        for sub in v._terms:
+            inside.setdefault(sub, [])
+    targets = {sub: t for t, sub in enumerate(inside)}
+    # each target's sources, padded with the index of an all-zero column
+    width = max(map(len, inside.values()), default=0)
+    pad = [len(sources)] * width
+    gather = np.array([(cols + pad)[:width] for cols in inside.values()], dtype=np.intp)
+    bound = max(len(sources), 1) * _max_coeff(everything)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    out = np.zeros(len(vectors), dtype=bool)
+    step = max(1, _UP_BLOCK // (len(sources) + len(targets) + 1))
+    for lo in range(0, len(vectors), step):
+        rows = slice(lo, lo + step)
+        planes = _planes(vectors[rows], sources, everything[0].q, dtype)
+        padded = np.concatenate([planes, np.zeros_like(planes[..., :1])], axis=-1)
+        image = np.zeros(planes.shape[:2] + (len(targets),), dtype=dtype)
+        for slot in range(width):
+            image += padded[..., gather[:, slot]]
+        expect = _planes(successors[rows], targets, everything[0].q, dtype)
+        out[rows] = (image != expect).any(axis=(0, 2))
+    return out
+
+
 _INT64_LIMIT = 1 << 63
 _GRAM_BLOCK = 1 << 13  # left-plane entries per block of rows
+_UP_BLOCK = 1 << 16  # plane entries per block of rows in up_mismatches
 
 
 def _max_coeff(vectors: Sequence[LatticeVector]) -> int:

@@ -315,29 +315,6 @@ def ud_du_count(n: int, k: int, q: int) -> int:
     return q_int(k, q) * q_int(n - k + 1, q)
 
 
-def count_ud_pairs(x: Subspace) -> int:
-    """|{(Y, Z) : X >= Y <= Z, dim Y = dim X - 1, dim Z = dim X}| by direct
-    enumeration; the independent check of ud_du_count."""
-    n, k, q = x.n, x.k, x.q
-    total = 0
-    for y in enumerate_rank(n, k - 1, q):
-        if x.contains(y):
-            total += sum(1 for z in enumerate_rank(n, k, q) if z.contains(y))
-    return total
-
-
-def count_du_pairs(x: Subspace, k: int) -> int:
-    """|{(Y, Z) : X <= Y >= Z, dim Y = k, dim Z = k - 1}| for dim X = k - 1."""
-    n, q = x.n, x.q
-    if x.k != k - 1:
-        raise ValueError(f"x must have rank {k - 1}, got {x.k}")
-    total = 0
-    for y in enumerate_rank(n, k, q):
-        if y.contains(x):
-            total += sum(1 for z in enumerate_rank(n, k - 1, q) if y.contains(z))
-    return total
-
-
 def check_theorem_gg(n: int, m: int, q: int) -> bool:
     """Exact equality of the two Grassmann tree-count products.
 

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt
 from .gflinalg import Subspace
 from .haction import characters, gamma, theta
-from .lattice import LatticeVector, gram, inner, up_apply
+from .lattice import LatticeVector, gram, inner, up_mismatches
 from .qcombinatorics import galois_number, is_prime, q_binomial, q_int
 from .reporting import Check, Report
 
@@ -167,164 +166,106 @@ def singular_value_sq(q: int, n: int, k: int, u: int) -> int:
 
 
 def verify_sjb(basis: SJB, mode: str = "full") -> Report:
-    """Check every defining property of the basis, exactly.
+    """Check every defining property of the basis, exactly, on every vector.
 
-    ``mode`` 'full' checks the up-operator chain condition on every vector
-    and orthogonality of every same-rank pair, read off one exact Gram matrix
-    per rank slice; 'spot' checks a deterministic sample of both (all cheap
-    structural checks still run on everything).
+    The chain condition U(x_u) = x_(u+1) is decided for a whole rank slice
+    at once (``up_mismatches``), and orthogonality of every same-rank pair
+    is read off one exact Gram matrix per rank slice.  Each failure names
+    the chain, rank or pair that a scan in chain order meets first.
+    ``mode`` is kept for callers that name it; only 'full' exists.
     """
-    if mode not in ("full", "spot"):
-        raise ValueError(f"mode must be 'full' or 'spot', got {mode!r}")
+    if mode != "full":
+        raise ValueError(f"mode must be 'full', got {mode!r}")
     q, n = basis.q, basis.n
     checks: list[Check] = []
 
     total = basis.vector_count
     expected = galois_number(n, q)
-    checks.append(
-        Check(
-            "total-count",
-            total == expected,
-            "" if total == expected else f"{total} vectors != Galois number {expected}",
-        )
-    )
+    bad = "" if total == expected else f"{total} vectors != Galois number {expected}"
+    checks.append(Check("total-count", not bad, bad))
 
-    bad = ""
-    for ci, chain in enumerate(basis.chains):
-        k = chain.start_rank
-        if chain.end_rank != n - k:
-            bad = f"chain {ci} (start {k}) ends at {chain.end_rank}, not {n - k}"
-            break
-        for u, vec in enumerate(chain.vectors):
-            rank = k + u
-            if vec.is_zero or not vec.is_homogeneous() or vec.rank() != rank:
-                bad = f"chain {ci} (start {k}), rank {rank}: not homogeneous of that rank"
-                break
-            if vec.q != q or vec.n != n:
-                bad = f"chain {ci}, rank {rank}: wrong ambient space"
-                break
-        if bad:
-            break
+    def shape_faults():
+        for ci, chain in enumerate(basis.chains):
+            k = chain.start_rank
+            if chain.end_rank != n - k:
+                yield f"chain {ci} (start {k}) ends at {chain.end_rank}, not {n - k}"
+            for rank, vec in enumerate(chain.vectors, k):
+                if vec.is_zero or not vec.is_homogeneous() or vec.rank() != rank:
+                    yield f"chain {ci} (start {k}), rank {rank}: not homogeneous of that rank"
+                if vec.q != q or vec.n != n:
+                    yield f"chain {ci}, rank {rank}: wrong ambient space"
+
+    bad = next(shape_faults(), "")
     checks.append(Check("chain-shape", not bad, bad))
 
-    bad = ""
-    for k in range((n // 2) + 1):
-        got = len(basis.chains_starting_at(k))
-        expect = q_binomial(n, k, q) - q_binomial(n, k - 1, q)
-        if got != expect:
-            bad = f"{got} chains start at rank {k}, expected {expect}"
-            break
+    counts = (
+        (k, len(basis.chains_starting_at(k)), q_binomial(n, k, q) - q_binomial(n, k - 1, q))
+        for k in range(n // 2 + 1)
+    )
+    faults = (f"{got} chains start at rank {k}, expected {e}" for k, got, e in counts if got != e)
+    bad = next(faults, "")
     checks.append(Check("chain-counts", not bad, bad))
 
-    bad = ""
-    for ci, chain in enumerate(basis.chains):
-        for u, vec in enumerate(chain.vectors):
-            for sub, coeff in vec.items():
-                if coeff.as_monomial() is None:
-                    bad = (
-                        f"chain {ci} (start {chain.start_rank}), rank "
-                        f"{chain.start_rank + u}: coefficient {coeff} of {sub!r} "
-                        "is not an integer multiple of a root of unity"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = next(
+        (
+            f"chain {ci} (start {basis.chains[ci].start_rank}), rank {rank}: coefficient "
+            f"{coeff} of {sub!r} is not an integer multiple of a root of unity"
+            for ci, rank, vec in basis.iter_vectors()
+            for sub, coeff in vec.items()
+            if coeff.as_monomial() is None
+        ),
+        "",
+    )
     checks.append(Check("monomial-coefficients", not bad, bad))
 
-    bad = ""
-    for ci, chain in enumerate(basis.chains):
-        k = chain.start_rank
-        # compared in Z[w]: a tampered coefficient can make a norm irrational
-        norms = [inner(v, v) for v in chain.vectors]
-        for u in range(k, n - k):
-            expect = singular_value_sq(q, n, k, u) * norms[u - k]
-            if norms[u + 1 - k] != expect:
-                bad = (
-                    f"chain {ci} (start {k}): |x_{u + 1}|^2 = {norms[u + 1 - k]}"
-                    f" != {expect}"
-                )
-                break
-        if bad:
-            break
+    def norm_faults():
+        for ci, chain in enumerate(basis.chains):
+            k = chain.start_rank
+            # compared in Z[w]: a tampered coefficient can make a norm irrational
+            norms = [inner(v, v) for v in chain.vectors]
+            for u in range(k, n - k):
+                expect = singular_value_sq(q, n, k, u) * norms[u - k]
+                if norms[u + 1 - k] != expect:
+                    yield f"chain {ci} (start {k}): |x_{u + 1}|^2 = {norms[u + 1 - k]} != {expect}"
+
+    bad = next(norm_faults(), "")
     checks.append(Check("singular-values", not bad, bad))
 
-    chain_sample = (
-        range(len(basis.chains))
-        if mode == "full"
-        else _spread(len(basis.chains), 24)
-    )
+    # chain-major first hits: the least (chain, rank) and (chain, rank, chain)
+    # over the rank slices
+    chain_hits, pair_hits = [], []
+    for rank, (owners, vecs, succs) in _rank_slices(basis).items():
+        rows = np.flatnonzero(up_mismatches(vecs, succs))
+        if len(rows):
+            chain_hits.append((owners[rows[0]], rank))
+        pairs = np.argwhere(np.triu(gram(vecs, vecs).any(axis=-1), k=1))
+        if len(pairs):
+            pair_hits.append((owners[pairs[0][0]], rank, owners[pairs[0][1]]))
     bad = ""
-    for ci in chain_sample:
-        chain = basis.chains[ci]
-        k = chain.start_rank
-        for u, vec in enumerate(chain.vectors):
-            image = up_apply(vec)
-            expect = (
-                chain.vectors[u + 1]
-                if u + 1 < len(chain.vectors)
-                else LatticeVector.zero(q, n)
-            )
-            if image != expect:
-                rank = k + u
-                bad = f"chain {ci} (start {k}): U(x_{rank}) != x_{rank + 1}"
-                break
-        if bad:
-            break
-    name = "chain-condition" if mode == "full" else "chain-condition (sampled)"
-    checks.append(Check(name, not bad, bad))
-
-    vectors = [(ci, rank, vec) for ci, rank, vec in basis.iter_vectors()]
+    if chain_hits:
+        ci, rank = min(chain_hits)
+        bad = f"chain {ci} (start {basis.chains[ci].start_rank}): U(x_{rank}) != x_{rank + 1}"
+    checks.append(Check("chain-condition", not bad, bad))
     bad = ""
-    if mode == "full":
-        first = _first_nonorthogonal_pair(vectors)
-        if first is not None:
-            (ci, rank, _), (cj, _, _) = vectors[first[0]], vectors[first[1]]
-            bad = f"vectors of chains {ci} and {cj} at rank {rank} are not orthogonal"
-    else:
-        count = len(vectors)
-        for t in range(min(2000, count * (count - 1) // 2)):
-            i = (t * 7919) % count
-            j = (t * 104729 + 1) % count
-            if i == j:
-                continue
-            ci, ri, vi = vectors[i]
-            cj, rj, vj = vectors[j]
-            if ri == rj and not inner(vi, vj).is_zero:
-                bad = f"vectors of chains {ci} and {cj} at rank {ri} are not orthogonal"
-                break
-    name = "orthogonality" if mode == "full" else "orthogonality (sampled)"
-    checks.append(Check(name, not bad, bad))
-
+    if pair_hits:
+        ci, rank, cj = min(pair_hits)
+        bad = f"vectors of chains {ci} and {cj} at rank {rank} are not orthogonal"
+    checks.append(Check("orthogonality", not bad, bad))
     return Report(tuple(checks))
 
 
-def _first_nonorthogonal_pair(vectors) -> tuple[int, int] | None:
-    """The lexicographically first index pair i < j of same-rank vectors
-    with a nonzero inner product, from one Gram matrix per rank slice.
-
-    ``vectors`` holds (chain, rank, vector) triples; vectors of different
-    ranks are never compared (in a sound basis their supports are disjoint).
-    """
-    by_rank: dict[int, list[int]] = {}
-    for idx, (_, rank, _) in enumerate(vectors):
-        by_rank.setdefault(rank, []).append(idx)
-    firsts = []
-    for members in by_rank.values():
-        block = [vectors[idx][2] for idx in members]
-        hits = np.argwhere(np.triu(gram(block, block).any(axis=-1), k=1))
-        if len(hits):
-            firsts.append((members[hits[0][0]], members[hits[0][1]]))
-    return min(firsts, default=None)
-
-
-def _spread(total: int, want: int) -> list[int]:
-    """Deterministic spread of indices across 0..total-1."""
-    if total <= want:
-        return list(range(total))
-    step = total / want
-    return sorted({int(i * step) for i in range(want)})
+def _rank_slices(basis: SJB) -> dict[int, tuple[list[int], list, list]]:
+    """Rank -> (chain indices, vectors, chain successors) at that position
+    of every chain, in chain order; a chain's last successor is zero."""
+    zero = LatticeVector.zero(basis.q, basis.n)
+    slices: dict[int, tuple[list[int], list, list]] = {}
+    for ci, chain in enumerate(basis.chains):
+        for u, vec in enumerate(chain.vectors):
+            owners, vecs, succs = slices.setdefault(chain.start_rank + u, ([], [], []))
+            owners.append(ci)
+            vecs.append(vec)
+            succs.append(chain.vectors[u + 1] if u + 1 < len(chain.vectors) else zero)
+    return slices
 
 
 # -- serialization -------------------------------------------------------------
@@ -344,15 +285,23 @@ def sjb_to_json(basis: SJB) -> dict:
     }
 
 
-def sjb_from_json(obj: dict) -> SJB:
-    q, n = int(obj["q"]), int(obj["n"])
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    chains = []
-    for entry in obj["chains"]:
-        vectors = tuple(LatticeVector.from_json(v) for v in entry["vectors"])
-        for v in vectors:
-            if v.q != q or v.n != n:
-                raise ValueError("vector does not match the basis header")
-        chains.append(JordanChain(int(entry["start_rank"]), vectors))
+def sjb_from_json(obj) -> SJB:
+    """Parse a basis document; a malformed one raises ValueError."""
+    try:
+        q, n = int(obj["q"]), int(obj["n"])
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
+        chains = []
+        for entry in obj["chains"]:
+            vectors = []
+            for v in entry["vectors"]:
+                # checked before the terms are parsed with the vector's own q
+                if int(v["q"]) != q or int(v["n"]) != n:
+                    raise ValueError("vector does not match the basis header")
+                vectors.append(LatticeVector.from_json(v))
+            chains.append(JordanChain(int(entry["start_rank"]), tuple(vectors)))
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed basis document: {exc}") from exc
     return SJB(q, n, tuple(chains))

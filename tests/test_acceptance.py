@@ -62,10 +62,10 @@ def test_criterion_1_construct_and_verify(basis_for):
 
     start = time.monotonic()
     big = construct_sjb(6, 2)
-    spot = verify_sjb(big, mode="spot")
+    full = verify_sjb(big, mode="full")
     elapsed_26 = time.monotonic() - start
-    if not spot.ok:
-        failures.append(f"(2,6) spot: {spot.summary()}")
+    if not full.ok:
+        failures.append(f"(2,6) full: {full.summary()}")
     if elapsed_25 >= 60:
         failures.append(f"(2,5) took {elapsed_25:.1f}s >= 60s")
     if elapsed_26 >= 300:
@@ -73,7 +73,7 @@ def test_criterion_1_construct_and_verify(basis_for):
     report_line(
         "criterion 1: construct+verify grid incl. timing",
         not failures,
-        "; ".join(failures) or f"(2,5) {elapsed_25:.1f}s, (2,6)+spot {elapsed_26:.1f}s",
+        "; ".join(failures) or f"(2,5) {elapsed_25:.1f}s, (2,6)+full {elapsed_26:.1f}s",
     )
 
 

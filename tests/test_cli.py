@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -43,7 +44,7 @@ def test_usage_error_on_bad_m(capsys):
 
 
 def test_unknown_arguments_exit_2(capsys):
-    for extra in (["--frobnicate"], ["--threads", "2"]):
+    for extra in (["--frobnicate"], ["--threads", "2"], ["--verify", "spot"]):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--q", "2", "--n", "3", *extra])
         assert exc.value.code == 2, extra
@@ -173,3 +174,30 @@ def test_python_dash_m_runs_the_cli():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["ok"] is True
+
+
+def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
+    sound = sjb_to_json(construct_sjb(2, 2))
+    text = json.dumps(sound)
+    header_q4 = dict(sound, q=4)
+    bad_coeff = copy.deepcopy(sound)
+    bad_coeff["chains"][0]["vectors"][0]["terms"][0]["coeff"] = {"m": "x", "j": 0}
+    dependent = copy.deepcopy(sound)
+    line = dependent["chains"][0]["vectors"][1]["terms"][0]["subspace"]
+    line["cols"] = [[0, 0]]
+    files = {
+        "truncated.json": text[: len(text) // 2],
+        "list.json": "[]",
+        "q4.json": json.dumps(header_q4),
+        "coeff.json": json.dumps(bad_coeff),
+        "dependent.json": json.dumps(dependent),
+    }
+    paths = [tmp_path / "missing.json"]
+    for name, body in files.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_text(body)
+    for path in paths:
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2, path.name
+        assert out == "" and "Traceback" not in err, path.name
+        assert err.count("\n") == 1 and err.startswith("error: "), (path.name, err)

@@ -215,6 +215,18 @@ def test_json_roundtrip_recanonicalizes():
     assert span_set(loaded) == span_set(sub)
 
 
+def test_from_json_rejects_dependent_columns():
+    for obj in (
+        {"n": 3, "k": 1, "cols": [[0, 0, 0]]},
+        {"n": 3, "k": 2, "cols": [[1, 2, 0], [2, 1, 0]]},  # second = 2 * first
+        {"n": 2, "k": 2, "cols": [[1, 1], [3, 3]]},  # equal mod 2
+    ):
+        q = 2 if obj["n"] == 2 else 3
+        with pytest.raises(ValueError, match="dimension"):
+            Subspace.from_json(q, obj)
+    assert Subspace.from_json(3, {"n": 3, "k": 0, "cols": []}) is Subspace.zero(3, 3)
+
+
 def test_sort_key_orders_enumeration():
     for q in (2, 3):
         for k in range(4):

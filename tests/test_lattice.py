@@ -20,6 +20,7 @@ from qjordan import (
     norm_sq,
     q_binomial,
     up_apply,
+    up_mismatches,
 )
 
 
@@ -255,3 +256,55 @@ def test_gram_blocks_agree(monkeypatch):
     monkeypatch.setattr("qjordan.lattice._GRAM_BLOCK", 1)
     assert np.array_equal(gram(block, block), whole)
     assert_gram_matches_inner(block, block, whole)
+
+
+@st.composite
+def up_cases(draw):
+    """Vectors with supports of mixed ranks, each paired with its image under
+    U, a perturbed image or an unrelated vector."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 3))
+    subs = enumerate_all(n, q)
+    coeffs = st.lists(st.integers(-50, 50), min_size=q - 1, max_size=q - 1)
+
+    def vector():
+        support = draw(st.lists(st.sampled_from(subs), max_size=5, unique=True))
+        return LatticeVector(q, n, {s: CycInt(q, tuple(draw(coeffs))) for s in support})
+
+    vectors, successors = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        v = vector()
+        kind = draw(st.sampled_from(["image", "perturbed", "unrelated"]))
+        image = up_apply(v)
+        successors.append(
+            image if kind == "image" else image + vector() if kind == "perturbed" else vector()
+        )
+        vectors.append(v)
+    return vectors, successors
+
+
+@settings(max_examples=200, deadline=None)
+@given(up_cases())
+def test_up_mismatches_matches_up_apply(case):
+    vectors, successors = case
+    got = up_mismatches(vectors, successors)
+    assert got.dtype == bool and got.shape == (len(vectors),)
+    assert got.tolist() == [up_apply(v) != s for v, s in zip(vectors, successors)]
+
+
+def test_up_mismatches_edges_blocks_and_big_coefficients(monkeypatch):
+    assert up_mismatches([], []).shape == (0,)
+    vectors = construct_sjb(3, 3).rank_slice(1)
+    successors = [up_apply(v) for v in vectors]
+    successors[3] = successors[3] * 2
+    expect = [i == 3 for i in range(len(vectors))]
+    assert up_mismatches(vectors, successors).tolist() == expect
+    big = 2**62  # every image sum is past int64, so the planes hold Python ints
+    scaled = up_mismatches([v * big for v in vectors], [s * big for s in successors])
+    assert scaled.tolist() == expect
+    monkeypatch.setattr("qjordan.lattice._UP_BLOCK", 1)
+    assert up_mismatches(vectors, successors).tolist() == expect
+    with pytest.raises(ValueError):
+        up_mismatches(vectors, successors[:-1])
+    with pytest.raises(ValueError):
+        up_mismatches(vectors[:1], [LatticeVector.zero(3, 4)])

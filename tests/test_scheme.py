@@ -26,7 +26,6 @@ from qjordan import (
     rooted_tree_count,
     ud_du_count,
 )
-from qjordan.scheme import count_du_pairs, count_ud_pairs
 
 
 def all_ones(q, n, m):
@@ -200,6 +199,28 @@ def test_johnson_graph_shapes():
     assert len(edges) == 10 * 6 // 2  # valency m(n-m) = 6
     k5_verts, k5_edges = johnson_graph(5, 1)
     assert len(k5_verts) == 5 and len(k5_edges) == 10
+
+
+def count_ud_pairs(x):
+    """|{(Y, Z) : X >= Y <= Z, dim Y = dim X - 1, dim Z = dim X}| by direct
+    enumeration; the independent check of ud_du_count."""
+    n, k, q = x.n, x.k, x.q
+    total = 0
+    for y in enumerate_rank(n, k - 1, q):
+        if x.contains(y):
+            total += sum(1 for z in enumerate_rank(n, k, q) if z.contains(y))
+    return total
+
+
+def count_du_pairs(x, k):
+    """|{(Y, Z) : X <= Y >= Z, dim Y = k, dim Z = k - 1}| for dim X = k - 1,
+    by direct enumeration."""
+    n, q = x.n, x.q
+    total = 0
+    for y in enumerate_rank(n, k, q):
+        if y.contains(x):
+            total += sum(1 for z in enumerate_rank(n, k - 1, q) if y.contains(z))
+    return total
 
 
 def test_ud_du_counts():

@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjordan import (
+    SJB,
     LatticeVector,
     Subspace,
     construct_sjb,
@@ -211,6 +214,8 @@ def test_rejects_bad_arguments():
         construct_sjb(-1, 2)
     with pytest.raises(ValueError):
         verify_sjb(construct_sjb(1, 2), mode="loose")
+    with pytest.raises(ValueError):
+        verify_sjb(construct_sjb(1, 2), mode="spot")
 
 
 def test_json_roundtrip_and_determinism():
@@ -259,14 +264,6 @@ def test_single_coefficient_tamper_is_caught():
         assert any(c.detail for c in report.failures())
 
 
-def test_spot_mode_runs_and_passes():
-    report = verify_sjb(construct_sjb(4, 2), mode="spot")
-    assert report.ok
-    names = {c.name for c in report.checks}
-    assert "chain-condition (sampled)" in names
-    assert "orthogonality (sampled)" in names
-
-
 def pairwise_orthogonality_failures(basis):
     """Details of every non-orthogonal same-rank pair, in the order of a scan
     over all pairs."""
@@ -303,3 +300,119 @@ def test_non_monomial_coefficient_fails_checks_instead_of_crashing():
     report = verify_sjb(sjb_from_json(payload))
     failing = {c.name for c in report.failures()}
     assert {"monomial-coefficients", "singular-values"} <= failing
+
+
+def chain_condition_failures(basis):
+    """(chain, rank, detail) of every chain-condition failure, in the order
+    of a scan over the chains and, within each, up the ranks, one up_apply a
+    vector."""
+    out = []
+    zero = LatticeVector.zero(basis.q, basis.n)
+    for ci, chain in enumerate(basis.chains):
+        k = chain.start_rank
+        for u, vec in enumerate(chain.vectors):
+            nxt = chain.vectors[u + 1] if u + 1 < len(chain.vectors) else zero
+            if up_apply(vec) != nxt:
+                out.append((ci, k + u, f"chain {ci} (start {k}): U(x_{k + u}) != x_{k + u + 1}"))
+    return out
+
+
+def test_chain_condition_names_the_first_hit():
+    payload = sjb_to_json(construct_sjb(4, 2))
+    chains = payload["chains"]
+    starts = [c["start_rank"] for c in chains]
+    early = starts.index(1)
+    late = len(starts) - 1 - starts[::-1].index(1)
+    # a foreign-rank term in the rank-3 vector of an early chain, and a bumped
+    # rank-1 coefficient in a late chain: the first hit is not the lowest rank
+    foreign = copy.deepcopy(chains[0]["vectors"][2]["terms"][0])
+    chains[early]["vectors"][2]["terms"].append(foreign)
+    chains[late]["vectors"][0]["terms"][0]["coeff"]["m"] += 1
+    basis = sjb_from_json(payload)
+    report = verify_sjb(basis)
+    (check,) = [c for c in report.checks if c.name == "chain-condition"]
+    failures = chain_condition_failures(basis)
+    assert len({ci for ci, _, _ in failures}) > 1
+    assert len({rank for _, rank, _ in failures}) > 1
+    assert min(failures, key=lambda f: (f[1], f[0])) != failures[0]
+    assert not check.passed and check.detail == failures[0][2]
+
+
+def test_chain_condition_past_the_int64_bound():
+    payload = sjb_to_json(construct_sjb(3, 2))
+    chain = payload["chains"][0]["vectors"]
+    for vec in chain:
+        for term in vec["terms"]:
+            term["coeff"]["m"] *= 2**61
+    # 21 * 2^61 at the top of the chain does not fit in int64
+    assert max(t["coeff"]["m"] for v in chain for t in v["terms"]) >= 2**63
+    report = verify_sjb(sjb_from_json(payload))
+    assert report.ok, report.summary()
+    chain[3]["terms"][0]["coeff"]["m"] += 1
+    report = verify_sjb(sjb_from_json(payload))
+    (check,) = [c for c in report.checks if c.name == "chain-condition"]
+    assert not check.passed and check.detail == "chain 0 (start 0): U(x_2) != x_3"
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    # even only: trial division cannot settle a large prime q quickly
+    | st.integers(-(2**70), 2**70).filter(lambda x: x % 2 == 0)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["q", "n", "k", "chains", "start_rank", "vectors", "terms",
+                         "subspace", "coeff", "cols", "m", "j", "coeffs"])
+        | st.text(max_size=3),
+        children,
+        max_size=5,
+    ),
+    max_leaves=16,
+)
+
+
+def parses_or_raises_value_error(doc):
+    try:
+        basis = sjb_from_json(doc)
+    except ValueError:
+        return
+    assert isinstance(basis, SJB)
+
+
+def json_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_sjb_from_json_survives_arbitrary_json(doc):
+    parses_or_raises_value_error(doc)
+
+
+SOUND_23 = sjb_to_json(construct_sjb(3, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sjb_from_json_survives_mutations(data):
+    doc = copy.deepcopy(SOUND_23)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    parses_or_raises_value_error(doc)
