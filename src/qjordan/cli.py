@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .haction import verify_decomposition
 from .qcombinatorics import is_prime, verify_identities
@@ -24,22 +23,10 @@ from .scheme import (
     johnson_rooted_tree_formula,
     rooted_tree_count,
 )
-from .sjb import construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
+from .sjb import MAX_FIELD_ORDER, construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q: int | None = None
-    n: int | None = None
-    m: int | None = None
-    out: str | None = None
-    verify_mode: str = "full"
-    oracle: bool = False
-    path: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,100 +94,102 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _check_q(q: int) -> str | None:
+    if q >= MAX_FIELD_ORDER:
+        return f"q must be below {MAX_FIELD_ORDER}, got {q}"
     if not is_prime(q):
         return f"q must be prime, got {q}"
     return None
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    basis = construct_sjb(cfg.n, cfg.q)
-    _emit(sjb_to_json(basis), cfg.out)
+def cmd_construct(args: argparse.Namespace) -> int:
+    basis = construct_sjb(args.n, args.q)
+    _emit(sjb_to_json(basis), args.out)
     print(
-        f"constructed basis for q={cfg.q}, n={cfg.n}: "
+        f"constructed basis for q={args.q}, n={args.n}: "
         f"{basis.vector_count} vectors in {len(basis.chains)} chains",
         file=sys.stderr,
     )
-    if cfg.verify_mode == "none":
+    if args.verify == "none":
         return 0
     report = verify_sjb(basis)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else VERIFY_ERROR
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(cfg.path, "r", encoding="utf-8") as fh:
+        with open(args.path, "r", encoding="utf-8") as fh:
             basis = sjb_from_json(json.load(fh))
     except (OSError, ValueError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever the cause
-        return _usage_error(f"cannot read basis file {cfg.path}: {message}")
+        return _usage_error(f"cannot read basis file {args.path}: {message}")
     report = verify_sjb(basis)
     _emit(report.to_json(), None)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else VERIFY_ERROR
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    report = verify_decomposition(cfg.n, cfg.q)
+def cmd_decompose(args: argparse.Namespace) -> int:
+    report = verify_decomposition(args.n, args.q)
     _emit(report.to_json(), None)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else VERIFY_ERROR
 
 
-def cmd_scheme(cfg: RunConfig) -> int:
-    basis = construct_sjb(cfg.n, cfg.q)
+def cmd_scheme(args: argparse.Namespace) -> int:
+    basis = construct_sjb(args.n, args.q)
     report = verify_sjb(basis)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
         return VERIFY_ERROR
     try:
-        rows = eigentable(cfg.n, cfg.m, basis)
+        rows = eigentable(args.n, args.m, basis)
     except EigenStructureError as exc:
         print(f"eigenstructure failure: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     payload = {
-        "q": cfg.q,
-        "n": cfg.n,
-        "m": cfg.m,
+        "q": args.q,
+        "n": args.n,
+        "m": args.m,
         "eigentable": [
             {"start_rank": r.start_rank, "eigenvalues": list(r.eigenvalues)}
             for r in rows
         ],
         "laplacian_spectrum": [
-            [eig, mult] for eig, mult in laplacian_spectrum(cfg.n, cfg.m, cfg.q)
+            [eig, mult] for eig, mult in laplacian_spectrum(args.n, args.m, args.q)
         ],
     }
     _emit(payload, None)
     return 0
 
 
-def cmd_trees(cfg: RunConfig) -> int:
-    formula = rooted_tree_count(cfg.n, cfg.m, cfg.q)
+def cmd_trees(args: argparse.Namespace) -> int:
+    formula = rooted_tree_count(args.n, args.m, args.q)
     oracle = match = None
-    if cfg.oracle:
-        oracle = matrix_tree_oracle(*grassmann_graph(cfg.q, cfg.n, cfg.m))
+    if args.oracle:
+        oracle = matrix_tree_oracle(*grassmann_graph(args.q, args.n, args.m))
         match = oracle == formula
     payload = {
-        "q": cfg.q,
-        "n": cfg.n,
-        "m": cfg.m,
+        "q": args.q,
+        "n": args.n,
+        "m": args.m,
         "formula": str(formula),
         "oracle": None if oracle is None else str(oracle),
         "match": match,
     }
     _emit(payload, None)
-    if cfg.oracle:
+    if args.oracle:
         print(f"formula {formula} vs oracle {oracle}", file=sys.stderr)
     return 0 if match in (None, True) else VERIFY_ERROR
 
 
-def cmd_johnson(cfg: RunConfig) -> int:
-    formula = johnson_rooted_tree_formula(cfg.n, cfg.m)
-    oracle = matrix_tree_oracle(*johnson_graph(cfg.n, cfg.m))
-    ok_jg = check_theorem_jg(cfg.n, cfg.m)
+def cmd_johnson(args: argparse.Namespace) -> int:
+    formula = johnson_rooted_tree_formula(args.n, args.m)
+    oracle = matrix_tree_oracle(*johnson_graph(args.n, args.m))
+    ok_jg = check_theorem_jg(args.n, args.m)
     payload = {
-        "n": cfg.n,
-        "m": cfg.m,
+        "n": args.n,
+        "m": args.m,
         "tree_formula": str(formula),
         "tree_oracle": str(oracle),
         "match": formula == oracle,
@@ -210,25 +199,26 @@ def cmd_johnson(cfg: RunConfig) -> int:
     return 0 if payload["match"] and ok_jg else VERIFY_ERROR
 
 
-def cmd_identities(cfg: RunConfig) -> int:
-    report = verify_identities(cfg.n, cfg.q)
+def cmd_identities(args: argparse.Namespace) -> int:
+    report = verify_identities(args.n, args.q)
     _emit(report.to_json(), None)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else VERIFY_ERROR
 
 
-def run(cfg: RunConfig) -> int:
-    if cfg.q is not None:
-        msg = _check_q(cfg.q)
+def run(args: argparse.Namespace) -> int:
+    q, n, m = (getattr(args, key, None) for key in ("q", "n", "m"))
+    if q is not None:
+        msg = _check_q(q)
         if msg:
             return _usage_error(msg)
-    if cfg.n is not None and cfg.n < 0:
-        return _usage_error(f"n must be >= 0, got {cfg.n}")
-    if cfg.m is not None and cfg.n is not None and not 0 <= 2 * cfg.m <= cfg.n:
-        return _usage_error(f"m must satisfy 0 <= m <= n/2, got m={cfg.m}, n={cfg.n}")
-    if cfg.command == "identities" and cfg.n < 1:
+    if n is not None and n < 0:
+        return _usage_error(f"n must be >= 0, got {n}")
+    if m is not None and n is not None and not 0 <= 2 * m <= n:
+        return _usage_error(f"m must satisfy 0 <= m <= n/2, got m={m}, n={n}")
+    if args.command == "identities" and n < 1:
         return _usage_error("identities needs n >= 1")
-    if cfg.command == "decompose" and cfg.n < 1:
+    if args.command == "decompose" and n < 1:
         return _usage_error("decompose needs n >= 1")
     handlers = {
         "construct": cmd_construct,
@@ -239,22 +229,11 @@ def run(cfg: RunConfig) -> int:
         "johnson": cmd_johnson,
         "identities": cmd_identities,
     }
-    return handlers[cfg.command](cfg)
+    return handlers[args.command](args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        q=getattr(args, "q", None),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        out=getattr(args, "out", None),
-        verify_mode=getattr(args, "verify", "full"),
-        oracle=getattr(args, "oracle", False),
-        path=getattr(args, "path", None),
-    )
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

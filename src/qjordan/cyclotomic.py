@@ -12,7 +12,7 @@ cyclotomic field per p covers every exact computation we need.
 
 from __future__ import annotations
 
-from .qcombinatorics import is_prime
+from .qcombinatorics import is_prime, json_int
 
 
 _KNOWN_PRIMES: set[int] = set()
@@ -261,8 +261,8 @@ class CycInt:
     @classmethod
     def from_json(cls, p: int, obj: dict) -> CycInt:
         if "coeffs" in obj:
-            return cls(p, tuple(int(a) for a in obj["coeffs"]))
-        return cls.monomial(p, int(obj["m"]), int(obj["j"]))
+            return cls(p, tuple(json_int(a, "coefficient entry") for a in obj["coeffs"]))
+        return cls.monomial(p, json_int(obj["m"], "coefficient m"), json_int(obj["j"], "coefficient j"))
 
     def reduce_mod(self, modulus: int, zeta: int) -> int:
         """Image under Z[w] -> Z/modulus sending w to zeta (of order p)."""

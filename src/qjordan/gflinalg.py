@@ -14,22 +14,19 @@ sets elsewhere in the package key directly on ``Subspace`` values.  Distinct
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import _kernels
-from .qcombinatorics import is_prime
-
-_INV_TABLES: dict[int, np.ndarray] = {}
+from .qcombinatorics import is_prime, json_int
 
 
+@cache
 def inv_table(q: int) -> np.ndarray:
-    tab = _INV_TABLES.get(q)
-    if tab is None:
-        if not is_prime(q):
-            raise ValueError(f"field order must be prime, got {q}")
-        tab = _kernels.inverse_table(q)
-        _INV_TABLES[q] = tab
-    return tab
+    if not is_prime(q):
+        raise ValueError(f"field order must be prime, got {q}")
+    return _kernels.inverse_table(q)
 
 
 def as_fq_matrix(q: int, data, rows: int | None = None) -> np.ndarray:
@@ -312,13 +309,16 @@ class Subspace:
 
     @classmethod
     def from_json(cls, q: int, obj: dict) -> Subspace:
-        n, k = int(obj["n"]), int(obj["k"])
+        n, k = json_int(obj["n"], "subspace n"), json_int(obj["k"], "subspace k")
         cols = obj["cols"]
         if len(cols) != k:
             raise ValueError(f"expected {k} columns, got {len(cols)}")
         for j, col in enumerate(cols):
             if len(col) != n:
                 raise ValueError(f"column {j} has length {len(col)}, ambient is {n}")
+            # exact types, as json_int reads them: no float, str or bool
+            if not set(map(type, col)) <= {int}:
+                raise ValueError(f"column {j} must hold integers, got {col!r}")
         m = np.zeros((n, k), dtype=np.int64)
         for j, col in enumerate(cols):
             m[:, j] = col

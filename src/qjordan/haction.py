@@ -14,7 +14,7 @@ basis construction in :mod:`qjordan.sjb`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -33,7 +33,7 @@ from .qcombinatorics import galois_number, q_binomial
 from .reporting import Check, Report
 
 
-@lru_cache(maxsize=None)
+@cache
 def group_vectors(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     """All of F_q^n in lexicographic order; the group underlying the action."""
     return tuple(product(range(q), repeat=n))
@@ -113,13 +113,8 @@ class OrbitTable:
     stabilizer: tuple[int, ...]
 
 
-_ORBIT_CACHE: dict[Subspace, OrbitTable] = {}
-
-
+@cache
 def orbit_table(x: Subspace) -> OrbitTable:
-    hit = _ORBIT_CACHE.get(x)
-    if hit is not None:
-        return hit
     _require_outside(x)
     n = x.n - 1
     q = x.q
@@ -134,9 +129,7 @@ def orbit_table(x: Subspace) -> OrbitTable:
     group_index = tuple(position[img] for img in images)
     self_index = position[x]
     stabilizer = tuple(g for g, idx in enumerate(group_index) if idx == self_index)
-    table = OrbitTable(orbit, self_index, group_index, stabilizer)
-    _ORBIT_CACHE[x] = table
-    return table
+    return OrbitTable(orbit, self_index, group_index, stabilizer)
 
 
 def h_map(x: Subspace) -> Subspace:
@@ -154,7 +147,7 @@ def eq_class(x: Subspace) -> tuple[Subspace, ...]:
     return orbit_table(x).orbit
 
 
-@lru_cache(maxsize=None)
+@cache
 def _char_exponents(q: int, c: tuple[int, ...]) -> tuple[int, ...]:
     """c . a mod q for every group vector a, aligned with group_vectors."""
     vecs = all_coordinate_vectors(len(c), q)
@@ -199,7 +192,7 @@ def theta(v: LatticeVector) -> LatticeVector:
     return LatticeVector(v.q, v.n + 1, out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _find_hyperplane_cached(q: int, c: tuple[int, ...], n: int) -> Subspace:
     chi = Character(q, c)
     vectors = group_vectors(n, q)
@@ -227,7 +220,7 @@ def find_hyperplane(chi: Character, n: int) -> Subspace:
     return _find_hyperplane_cached(chi.q, chi.c, n)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _mu_hat(hyper: Subspace, sub: Subspace) -> Subspace:
     return mu_apply(hyper, sub).hat()
 
@@ -251,7 +244,7 @@ def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _fixed_point_counts(n: int, k: int, q: int) -> tuple[int, ...]:
     """counts[g] = number of dim-k subspaces outside the hyperplane fixed by
     the g-th group vector; one orbit-table pass over all of them."""

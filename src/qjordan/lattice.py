@@ -7,7 +7,7 @@ orthonormal basis and is conjugate-linear in its second argument.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -15,12 +15,10 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .gflinalg import Subspace, inv_table, subspaces_from_matrix_batch
-from .qcombinatorics import q_binomial
-
-_ENUM_CACHE: dict[tuple[int, int, int], tuple[Subspace, ...]] = {}
-_COVERS_CACHE: dict[Subspace, tuple[Subspace, ...]] = {}
+from .qcombinatorics import json_int, q_binomial
 
 
+@cache
 def enumerate_rank(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     """All k-dimensional subspaces of F_q^n, each exactly once.
 
@@ -31,11 +29,6 @@ def enumerate_rank(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     inv_table(q)
     if k < 0 or k > n:
         return ()
-    key = (n, k, q)
-    hit = _ENUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     out = []
     for pivots in combinations(range(n), k):
         template = np.zeros((n, k), dtype=np.int64)
@@ -59,7 +52,6 @@ def enumerate_rank(n: int, k: int, q: int) -> tuple[Subspace, ...]:
             out.append(Subspace._trusted_snf(q, n, mat))
     result = tuple(out)
     assert len(result) == q_binomial(n, k, q)
-    _ENUM_CACHE[key] = result
     return result
 
 
@@ -79,6 +71,7 @@ def all_coordinate_vectors(n: int, q: int) -> np.ndarray:
     return np.ascontiguousarray(grids.astype(np.int64))
 
 
+@cache
 def covers_of(x: Subspace) -> tuple[Subspace, ...]:
     """The subspaces covering x in B_q(n), i.e. x plus one new line.
 
@@ -89,12 +82,8 @@ def covers_of(x: Subspace) -> tuple[Subspace, ...]:
     deduplicate; results are cached per subspace since the up operator
     revisits them constantly.
     """
-    hit = _COVERS_CACHE.get(x)
-    if hit is not None:
-        return hit
     q, n, k = x.q, x.n, x.k
     if k == n:
-        _COVERS_CACHE[x] = ()
         return ()
     pivots = set(x.pivot_rows())
     free_rows = [r for r in range(n) if r not in pivots]
@@ -104,11 +93,10 @@ def covers_of(x: Subspace) -> tuple[Subspace, ...]:
     mats[:, free_rows, k] = points
     result = tuple(sorted(subspaces_from_matrix_batch(q, mats), key=Subspace.sort_key))
     assert len(set(result)) == len(result) == q_binomial(n - k, 1, q)
-    _COVERS_CACHE[x] = result
     return result
 
 
-@lru_cache(maxsize=None)
+@cache
 def _projective_points(m: int, q: int) -> np.ndarray:
     """One vector per point of PG(m-1, q): the nonzero vectors of F_q^m
     whose first nonzero entry is 1, as an ([m]_q, m) int64 array."""
@@ -263,7 +251,7 @@ class LatticeVector:
 
     @classmethod
     def from_json(cls, obj: dict) -> LatticeVector:
-        q, n = int(obj["q"]), int(obj["n"])
+        q, n = json_int(obj["q"], "vector q"), json_int(obj["n"], "vector n")
         terms: dict[Subspace, CycInt] = {}
         for item in obj["terms"]:
             sub = Subspace.from_json(q, item["subspace"])

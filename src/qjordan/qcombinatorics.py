@@ -9,7 +9,7 @@ memoization rather than by the product formula.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .reporting import Check, Report
 
@@ -30,6 +30,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a parsed JSON document, read strictly: a float,
+    a string or a bool (which Python counts as an int) raises ValueError
+    instead of being truncated to an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def q_int(k: int, q: int) -> int:
     """The q-integer [k]_q = 1 + q + ... + q^(k-1), with [0]_q = 0."""
     if k < 0:
@@ -46,7 +55,7 @@ def _check_q(q: int) -> None:
         raise ValueError(f"base q must be >= 2, got {q}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def q_binomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial [n choose k]_q, the number of k-subspaces of F_q^n.
 

@@ -1,17 +1,20 @@
 """Grassmann-scheme operators, spectra and spanning-tree identities.
 
 The adjacency operator A_i on m-subspaces connects X and Y exactly when
-dim(X  intersect Y) = m - i.  The rank-m vectors of a symmetric Jordan basis
-are a common eigenbasis of all the A_i; eigenvalues are extracted from the
-constructed basis (with a full coordinate consistency check) rather than
-hard-coded.  Spanning-tree counts come in two independent flavors: the
-eigenvalue product formula and an exact matrix-tree determinant computed by
-fraction-free elimination over the integers.
+dim(X  intersect Y) = m - i, so every A_i is read off one cached relation
+matrix R[X, Y] = m - dim(X intersect Y) as A_i = [R == i].  The rank-m
+vectors of a symmetric Jordan basis are a common eigenbasis of all the A_i;
+eigenvalues are extracted from the constructed basis (with a full
+coordinate consistency check) rather than hard-coded.  Spanning-tree counts
+come in two independent flavors: the eigenvalue product formula and an
+exact matrix-tree determinant computed by fraction-free elimination over
+the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .cyclotomic import CycInt
-from .gflinalg import Subspace, inv_table
+from .gflinalg import inv_table
 from .lattice import LatticeVector, enumerate_rank
 from .qcombinatorics import q_binomial, q_int
 from .sjb import SJB
@@ -43,39 +46,32 @@ def _check_m(n: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= n/2, got m={m}, n={n}")
 
 
-_CLASS_CACHE: dict[tuple[int, int, int], tuple] = {}
+# pairs per rank_batch call: the batch stays at a few hundred kB at any size
+_PAIR_BLOCK = 4096
 
 
-def _adjacency_classes(q: int, n: int, m: int):
-    """Vertices of the Grassmann scheme plus neighbor lists per relation.
+@cache
+def _relations(q: int, n: int, m: int):
+    """Vertices of the Grassmann scheme and its relation matrix.
 
-    Returns (vertices, index_of, classes) with classes[i][x] the tuple of
-    vertex indices at intersection dimension m - i from vertex x.
+    Returns (vertices, index_of, R) with R[x, y] = m - dim(X intersect Y),
+    so A_i = [R == i].  R is symmetric: only the pairs x < y are reduced,
+    _PAIR_BLOCK of them per kernel call.
     """
-    key = (q, n, m)
-    hit = _CLASS_CACHE.get(key)
-    if hit is not None:
-        return hit
     vertices = enumerate_rank(n, m, q)
-    nv = len(vertices)
     index_of = {x: i for i, x in enumerate(vertices)}
-    classes = [[[] for _ in range(nv)] for _ in range(m + 1)]
-    if nv:
-        mats = np.stack([x.matrix.astype(np.int64) for x in vertices])
-        pairs = np.empty((nv * nv, n, 2 * m), dtype=np.int64)
-        pairs[:, :, :m] = np.repeat(mats, nv, axis=0)
-        pairs[:, :, m:] = np.tile(mats, (nv, 1, 1))
-        ranks = _kernels.rank_batch(pairs, q, inv_table(q)).reshape(nv, nv)
-        for x in range(nv):
-            for y in range(nv):
-                i = int(ranks[x, y]) - m  # dim(X cap Y) = 2m - rank
-                classes[i][x].append(y)
-    frozen = tuple(
-        tuple(tuple(lst) for lst in per_class) for per_class in classes
-    )
-    result = (vertices, index_of, frozen)
-    _CLASS_CACHE[key] = result
-    return result
+    nv = len(vertices)
+    rel = np.zeros((nv, nv), dtype=np.int8)
+    rows = np.stack([x.matrix.T for x in vertices]).astype(np.int64)
+    xs, ys = np.triu_indices(nv, k=1)
+    for lo in range(0, len(xs), _PAIR_BLOCK):
+        x, y = xs[lo : lo + _PAIR_BLOCK], ys[lo : lo + _PAIR_BLOCK]
+        # the 2m basis rows of X and Y together have rank 2m - dim(X cap Y);
+        # the gathered batch is a temporary, so no two blocks coexist
+        both = np.stack((x, y), axis=1).ravel()
+        ranks = _kernels.rank_batch(rows[both].reshape(-1, 2 * m, n), q, inv_table(q))
+        rel[x, y] = rel[y, x] = ranks - m
+    return vertices, index_of, rel
 
 
 def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
@@ -87,14 +83,13 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
         return v
     if not v.is_homogeneous() or v.rank() != m:
         raise ValueError(f"input must be homogeneous of rank {m}")
-    vertices, index_of, classes = _adjacency_classes(v.q, n, m)
-    acc = [CycInt.zero(v.q) for _ in vertices]
+    vertices, index_of, rel = _relations(v.q, n, m)
+    zero = CycInt.zero(v.q)
+    acc: dict[int, CycInt] = {}
     for sub, coeff in v.items():
-        for x in classes[i][index_of[sub]]:
-            acc[x] = acc[x] + coeff
-    return LatticeVector(
-        v.q, n, {vertices[x]: c for x, c in enumerate(acc) if not c.is_zero}
-    )
+        for x in np.flatnonzero(rel[index_of[sub]] == i).tolist():
+            acc[x] = acc.get(x, zero) + coeff
+    return LatticeVector(v.q, n, {vertices[x]: acc[x] for x in sorted(acc)})
 
 
 def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
@@ -210,23 +205,14 @@ def matrix_tree_oracle(vertices, edges) -> int:
     index = {v: i for i, v in enumerate(verts)}
     if len(index) != len(verts):
         raise ValueError("duplicate vertices")
-    nv = len(verts)
-    lap = [[0] * nv for _ in range(nv)]
-    seen = set()
+    simple = {}
     for a, b in edges:
         i, j = index[a], index[b]
         if i == j:
             raise ValueError(f"self-loop at {a!r}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        lap[i][i] += 1
-        lap[j][j] += 1
-        lap[i][j] -= 1
-        lap[j][i] -= 1
-    reduced = [row[1:] for row in lap[1:]]
-    return nv * bareiss_det(reduced)
+        simple.setdefault((min(i, j), max(i, j)), (a, b))
+    lap = laplacian_matrix(verts, simple.values())
+    return len(verts) * bareiss_det([row[1:] for row in lap[1:]])
 
 
 def charpoly_matches(matrix, spectrum) -> bool:
@@ -254,14 +240,9 @@ def charpoly_matches(matrix, spectrum) -> bool:
 def grassmann_graph(q: int, n: int, m: int):
     """Vertices and edges of the Grassmann graph C_q(n, m)."""
     _check_m(n, m)
-    vertices, _, classes = _adjacency_classes(q, n, m)
-    edges = []
-    if m >= 1:
-        for x in range(len(vertices)):
-            for y in classes[1][x]:
-                if x < y:
-                    edges.append((vertices[x], vertices[y]))
-    return vertices, edges
+    vertices, _, rel = _relations(q, n, m)
+    pairs = np.argwhere(np.triu(rel == 1)).tolist()
+    return vertices, [(vertices[x], vertices[y]) for x, y in pairs]
 
 
 def laplacian_matrix(vertices, edges) -> list[list[int]]:

@@ -35,7 +35,7 @@ import numpy as np
 from .gflinalg import Subspace
 from .haction import characters, gamma, theta
 from .lattice import LatticeVector, gram, inner, up_mismatches
-from .qcombinatorics import galois_number, is_prime, q_binomial, q_int
+from .qcombinatorics import galois_number, is_prime, json_int, q_binomial, q_int
 from .reporting import Check, Report
 
 
@@ -285,10 +285,18 @@ def sjb_to_json(basis: SJB) -> dict:
     }
 
 
+# A Z[w] coefficient holds q - 1 Python ints, so no basis for a larger field
+# can be built or stored; the cap also keeps trial division off a huge
+# untrusted q, which would take time growing like sqrt(q).
+MAX_FIELD_ORDER = 1 << 16
+
+
 def sjb_from_json(obj) -> SJB:
     """Parse a basis document; a malformed one raises ValueError."""
     try:
-        q, n = int(obj["q"]), int(obj["n"])
+        q, n = json_int(obj["q"], "q"), json_int(obj["n"], "n")
+        if q >= MAX_FIELD_ORDER:
+            raise ValueError(f"q must be below {MAX_FIELD_ORDER}, got {q}")
         if not is_prime(q):
             raise ValueError(f"q must be prime, got {q}")
         chains = []
@@ -296,10 +304,11 @@ def sjb_from_json(obj) -> SJB:
             vectors = []
             for v in entry["vectors"]:
                 # checked before the terms are parsed with the vector's own q
-                if int(v["q"]) != q or int(v["n"]) != n:
+                if json_int(v["q"], "vector q") != q or json_int(v["n"], "vector n") != n:
                     raise ValueError("vector does not match the basis header")
                 vectors.append(LatticeVector.from_json(v))
-            chains.append(JordanChain(int(entry["start_rank"]), tuple(vectors)))
+            start = json_int(entry["start_rank"], "start_rank")
+            chains.append(JordanChain(start, tuple(vectors)))
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
     except (TypeError, AttributeError, IndexError, OverflowError) as exc:

@@ -176,6 +176,31 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(out.stdout)["ok"] is True
 
 
+def test_huge_field_order_exits_2_fast(tmp_path):
+    # 2^61 - 1 is prime: trial division on it would run for minutes
+    huge = 2**61 - 1
+    term = {"subspace": {"n": 1, "k": 0, "cols": []}, "coeff": {"m": 1, "j": 0}}
+    vector = {"q": huge, "n": 1, "terms": [term]}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    commands = [["construct", "--q", str(huge), "--n", "1"]]
+    for i, chains in enumerate(([], [{"start_rank": 0, "vectors": [vector]}])):
+        path = tmp_path / f"huge{i}.json"
+        path.write_text(json.dumps({"q": huge, "n": 1, "chains": chains}))
+        commands.append(["verify", str(path)])
+    for argv in commands:
+        out = subprocess.run(
+            [sys.executable, "-m", "qjordan", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=2,
+        )
+        assert out.returncode == 2 and out.stdout == "", argv
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, argv
+
+
 def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
     sound = sjb_to_json(construct_sjb(2, 2))
     text = json.dumps(sound)
@@ -192,6 +217,25 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "coeff.json": json.dumps(bad_coeff),
         "dependent.json": json.dumps(dependent),
     }
+    # non-integers that int() would truncate to a sound value
+    sound_23 = sjb_to_json(construct_sjb(3, 2))
+    term = ("chains", 0, "vectors", 0, "terms", 0)
+    line = sound_23["chains"][0]["vectors"][1]["terms"][0]["subspace"]
+    pivot = ("chains", 0, "vectors", 1, "terms", 0, "subspace", "cols", 0, line["cols"][0].index(1))
+    edits = {
+        "m_float.json": (term + ("coeff", "m"), 1.5),
+        "m_bool.json": (term + ("coeff", "m"), True),
+        "col_float.json": (pivot, 1.5),
+        "start_float.json": (("chains", 0, "start_rank"), 0.5),
+        "q_string.json": (("q",), "2"),
+    }
+    for name, (path, value) in edits.items():
+        doc = copy.deepcopy(sound_23)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        files[name] = json.dumps(doc)
     paths = [tmp_path / "missing.json"]
     for name, body in files.items():
         paths.append(tmp_path / name)

@@ -26,6 +26,7 @@ from qjordan import (
     rooted_tree_count,
     ud_du_count,
 )
+from qjordan.scheme import _relations
 
 
 def all_ones(q, n, m):
@@ -64,6 +65,30 @@ def test_adjacency_relations_partition():
                 for y in img.support():
                     back = adjacency_apply(n, m, i, LatticeVector.basis(y))
                     assert x in back.support()
+
+
+def test_relation_matrix_is_codimension_of_intersection():
+    for q, n, m in [(2, 4, 2), (3, 3, 1)]:
+        vertices, index_of, rel = _relations(q, n, m)
+        assert vertices == enumerate_rank(n, m, q)
+        assert [index_of[x] for x in vertices] == list(range(len(vertices)))
+        expect = [[m - x.intersect(y).k for y in vertices] for x in vertices]
+        assert rel.tolist() == expect
+
+
+def test_grassmann_graph_memory_stays_small():
+    # the nv^2 batch of pair matrices alone would be 155^2 * 5 * 4 * 8 B = 3.8 MB
+    import tracemalloc
+
+    enumerate_rank(5, 2, 2)
+    _relations.cache_clear()
+    tracemalloc.start()
+    try:
+        grassmann_graph(2, 5, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 def test_adjacency_rejects_bad_input():
@@ -114,6 +139,32 @@ def test_eigentable_detects_broken_vector(basis_for):
     chains[target] = JordanChain(chain.start_rank, tuple(vecs))
     with pytest.raises(EigenStructureError):
         eigentable(4, 2, SJB(2, 4, tuple(chains)))
+
+
+def closed_form_eigenvalue(q, n, m, i, k):
+    """Eigenvalue of A_i on the rank-k constituent of the Grassmann scheme
+    (Delsarte 1976; Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 9.3),
+    computed without any basis."""
+    return sum(
+        (-1) ** (i - l)
+        * q ** (comb(i - l, 2) + l * k)
+        * q_binomial(m - l, m - i, q)
+        * q_binomial(m - k, l, q)
+        * q_binomial(n - m + l - k, l, q)
+        for l in range(i + 1)
+    )
+
+
+def test_eigentable_matches_closed_form(basis_for):
+    for q, top in [(2, 5), (3, 4), (5, 3), (7, 2)]:
+        for n in range(2, top + 1):
+            for m in range(n // 2 + 1):
+                for row in eigentable(n, m, basis_for(q, n)):
+                    expect = tuple(
+                        closed_form_eigenvalue(q, n, m, i, row.start_rank)
+                        for i in range(m + 1)
+                    )
+                    assert row.eigenvalues == expect, (q, n, m, row.start_rank)
 
 
 def test_laplacian_spectrum_values():

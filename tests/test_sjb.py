@@ -358,8 +358,7 @@ JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-(10**6), 10**6)
-    # even only: trial division cannot settle a large prime q quickly
-    | st.integers(-(2**70), 2**70).filter(lambda x: x % 2 == 0)
+    | st.integers(-(2**70), 2**70)
     | st.floats()
     | st.text(max_size=4),
     lambda children: st.lists(children, max_size=4)
