@@ -12,6 +12,8 @@ cyclotomic field per p covers every exact computation we need.
 
 from __future__ import annotations
 
+from operator import add
+
 from .qcombinatorics import is_prime, json_int
 
 
@@ -100,6 +102,9 @@ class CycInt:
         return None
 
     def __add__(self, other):
+        # the hot case (the scheme's adjacency sums): skip _coerce
+        if type(other) is CycInt and other.p == self.p:
+            return CycInt._raw(self.p, tuple(map(add, self.coeffs, other.coeffs)))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

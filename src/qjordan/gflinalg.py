@@ -326,6 +326,9 @@ class Subspace:
         sub = cls.from_matrix(q, m)
         if sub.k != k:
             raise ValueError(f"the {k} columns span a subspace of dimension {sub.k}")
+        # from_matrix reads entries mod q; a stored entry must be a residue
+        if not all(0 <= min(col) and max(col) < q for col in cols):
+            raise ValueError(f"column entries must lie in 0..{q - 1}, got {cols!r}")
         return sub
 
 

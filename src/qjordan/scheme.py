@@ -7,8 +7,9 @@ vectors of a symmetric Jordan basis are a common eigenbasis of all the A_i;
 eigenvalues are extracted from the constructed basis (with a full
 coordinate consistency check) rather than hard-coded.  Spanning-tree counts
 come in two independent flavors: the eigenvalue product formula and an
-exact matrix-tree determinant computed by fraction-free elimination over
-the integers.
+exact matrix-tree determinant.  The determinant is taken modulo word-size
+primes and lifted by the Chinese remainder theorem; the primes' product
+exceeds twice the Hadamard bound, which certifies the lifted integer.
 """
 
 from __future__ import annotations
@@ -168,32 +169,128 @@ def rooted_tree_count(n: int, m: int, q: int) -> int:
 # -- exact determinants and the matrix-tree oracle ------------------------------
 
 
+# Determinants are taken modulo primes below 2^_PRIME_BITS, largest first.
+# A product of two residues is below 2^58, so an int64 entry absorbs
+# _LAG = 2^(63 - 58) = 32 elimination updates before it must be reduced.
+_PRIME_BITS = 29
+_LAG = 2 ** (63 - 2 * _PRIME_BITS)
+# primes eliminated together: one (4, N, N) int64 block, so memory stays
+# a few times the size of one residue matrix
+_PRIME_BLOCK = 4
+
+
+def _is_prime_u32(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n with 61 < n < 2^32: the bases
+    2, 7 and 61 have no common strong pseudoprime below 4,759,123,141."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _det_prime(i: int) -> int:
+    """The i-th largest prime below 2^_PRIME_BITS, from i = 0.  Built on
+    first use, one at a time, by callers that ask for i = 0, 1, 2, ..."""
+    cand = (_det_prime(i - 1) if i else 2**_PRIME_BITS + 1) - 2
+    while not _is_prime_u32(cand):
+        cand -= 2
+    return cand
+
+
+def _det_mod_primes(mat, primes: list[int]) -> list[int]:
+    """det(mat) mod each prime, by Gaussian elimination over Z/p.
+
+    All primes of the block are eliminated at once in one int64 array of
+    shape (P, N, N).  Each prime picks its own pivot row, the first nonzero
+    entry at or below the diagonal; a column with none leaves a zero pivot,
+    so that prime's determinant is 0.  The determinant is the signed
+    product of the pivots.  The trailing block is reduced only every _LAG
+    steps; the pivot row and column, which feed the products, every step.
+    """
+    pm = np.array(primes, dtype=np.int64)[:, None]
+    if mat.dtype == object:
+        a = np.stack([(mat % p).astype(np.int64) for p in primes])
+    else:
+        a = mat[None] % pm[:, :, None]
+    size = mat.shape[0]
+    lanes = np.arange(len(primes))
+    det = [1] * len(primes)
+    for k in range(size):
+        col = a[:, k:, k]
+        col %= pm
+        piv = k + np.argmax(col != 0, axis=1)
+        swap = piv != k
+        if swap.any():
+            a[lanes, k], a[lanes, piv] = a[lanes, piv], a[lanes, k]
+        row = a[:, k, k + 1 :]
+        row %= pm
+        pivots = a[:, k, k].tolist()
+        for j, (x, p) in enumerate(zip(pivots, primes)):
+            det[j] = det[j] * (p - x if swap[j] else x) % p
+        if k + 1 < size:
+            inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
+            f = a[:, k + 1 :, k] * np.array(inv, dtype=np.int64)[:, None] % pm
+            rest = a[:, k + 1 :, k + 1 :]
+            rest -= f[:, :, None] * row[:, None, :]
+            if (k + 1) % _LAG == 0:
+                rest %= pm[:, :, None]
+    return det
+
+
 def bareiss_det(matrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    m = [[int(x) for x in row] for row in matrix]
-    size = len(m)
-    if any(len(row) != size for row in m):
+    """Exact determinant of an integer matrix, by multimodular elimination.
+
+    The determinant is taken modulo primes p < 2^29 by Gaussian elimination
+    over Z/p (see _det_mod_primes), _PRIME_BLOCK primes at a time, and
+    lifted by the Chinese remainder theorem to the symmetric residue.  The
+    primes are taken until their product M exceeds twice the Hadamard bound
+    H = prod_i 2^ceil(bitlen(sum_j a_ij^2) / 2) >= |det|, so the symmetric
+    residue in (-M/2, M/2] is the determinant itself: the result is exact
+    and certified.  No floating point is used.
+    """
+    rows = [[int(x) for x in row] for row in matrix]
+    size = len(rows)
+    if any(len(row) != size for row in rows):
         raise ValueError("determinant needs a square matrix")
     if size == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k] != 0), -1)
-            if swap < 0:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i, row_k = m[i], m[k]
-            f = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
+    log_bound = 0
+    for row in rows:
+        norm2 = sum(x * x for x in row)
+        if not norm2:
+            return 0
+        log_bound += (norm2.bit_length() + 1) // 2
+    primes: list[int] = []
+    modulus = 1
+    # until modulus > 2H = 2^(log_bound + 1); an odd modulus is never equal
+    while modulus.bit_length() <= log_bound + 1:
+        primes.append(_det_prime(len(primes)))
+        modulus *= primes[-1]
+    try:
+        mat = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        mat = np.array(rows, dtype=object)
+    residue, modulus = 0, 1
+    for lo in range(0, len(primes), _PRIME_BLOCK):
+        block = primes[lo : lo + _PRIME_BLOCK]
+        for r, p in zip(_det_mod_primes(mat, block), block):
+            # Garner's step: keep residue mod modulus, extend it mod p
+            t = (r - residue) * pow(modulus, -1, p) % p
+            residue += modulus * t
+            modulus *= p
+    return residue - modulus if 2 * residue > modulus else residue
 
 
 def matrix_tree_oracle(vertices, edges) -> int:

@@ -226,6 +226,9 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "m_float.json": (term + ("coeff", "m"), 1.5),
         "m_bool.json": (term + ("coeff", "m"), True),
         "col_float.json": (pivot, 1.5),
+        # out of 0..q-1, though congruent to the sound entry mod q
+        "col_3.json": (pivot, 3),
+        "col_neg.json": (pivot, -1),
         "start_float.json": (("chains", 0, "start_rank"), 0.5),
         "q_string.json": (("q",), "2"),
     }

@@ -130,6 +130,8 @@ def test_mixed_prime_rejected():
     with pytest.raises(ValueError):
         CycInt.one(2) + CycInt.one(3)
     with pytest.raises(ValueError):
+        CycInt.one(5) + CycInt.one(3)
+    with pytest.raises(ValueError):
         CycInt(4, (1, 1, 1))
 
 
@@ -148,7 +150,11 @@ def test_json_roundtrip():
 def test_int_coercion_in_arithmetic():
     w = CycInt.omega(3)
     assert 2 * w == CycInt.monomial(3, 2, 1)
-    assert w + 1 == CycInt(3, (1, 1))
+    assert w + 1 == 1 + w == CycInt(3, (1, 1))
+    with pytest.raises(TypeError):
+        w + 1.5
+    with pytest.raises(TypeError):
+        1.5 + w
     assert 1 - w == CycInt(3, (1, -1))
 
 

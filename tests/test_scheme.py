@@ -1,7 +1,12 @@
 """Adjacency operators, eigenvalue extraction, spectra and tree counts."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qjordan import (
@@ -26,7 +31,8 @@ from qjordan import (
     rooted_tree_count,
     ud_du_count,
 )
-from qjordan.scheme import _relations
+from qjordan.qcombinatorics import is_prime
+from qjordan.scheme import _det_prime, _is_prime_u32, _relations
 
 
 def all_ones(q, n, m):
@@ -184,12 +190,49 @@ def test_rooted_tree_count_values():
     assert rooted_tree_count(4, 2, 2) == 15**14 * 21**20
 
 
+def python_int_bareiss(matrix) -> int:
+    """Fraction-free Bareiss elimination on Python ints: the reference that
+    the multimodular bareiss_det is checked against."""
+    m = [[int(x) for x in row] for row in matrix]
+    size = len(m)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k] != 0), -1)
+            if swap < 0:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            row_i, row_k = m[i], m[k]
+            f = row_i[k]
+            for j in range(k + 1, size):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[size - 1][size - 1]
+
+
+def sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
 def test_bareiss_det():
     assert bareiss_det([[5]]) == 5
     assert bareiss_det([[1, 2], [3, 4]]) == -2
     assert bareiss_det([[0, 1], [1, 0]]) == -1
     assert bareiss_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
     assert bareiss_det([[1, 1], [1, 1]]) == 0
+    assert bareiss_det([]) == 1
+    with pytest.raises(ValueError):
+        bareiss_det([[1, 2]])
     # permutation-expansion oracle on random 4x4 integer matrices
     import random
     from itertools import permutations
@@ -209,7 +252,81 @@ def test_bareiss_det():
             for i in range(4):
                 term *= mat[i][perm[i]]
             expect += term
-        assert bareiss_det(mat) == expect
+        assert bareiss_det(mat) == expect == python_int_bareiss(mat)
+
+
+def test_bareiss_det_matches_python_int_reference():
+    import random
+
+    rng = random.Random(2024)
+    mats = []
+    # entries past 2^31 and negative: the int64 path (< 2^63) and the
+    # object path (>= 2^63); sizes past 32 run the lazy full reductions
+    for size, bits in [(1, 40), (3, 31), (5, 62), (6, 70), (8, 100), (40, 35)]:
+        mats.append([[rng.randint(-(2**bits), 2**bits) for _ in range(size)] for _ in range(size)])
+    # singular: a dependent row, a zero row, a zero column
+    for size in (2, 5, 36):
+        mat = [[rng.randint(-(2**40), 2**40) for _ in range(size)] for _ in range(size)]
+        mats.append(mat[:-1] + [[3 * a - 2 * b for a, b in zip(mat[0], mat[1 % size])]])
+        mats.append(mat[:-1] + [[0] * size])
+        mats.append([[0] + row[1:] for row in mat])
+    # det = 0 modulo primes that are in use
+    p0, p1, p2 = map(_det_prime, range(3))
+    mats.append([[p0, 0, 0], [0, p1, 0], [0, 0, 7]])
+    mats.append([[p0 * p1, 0], [0, -p2]])
+    mats.append([[p0, 1], [2 * p0, 2]])
+    for mat in mats:
+        assert bareiss_det(mat) == python_int_bareiss(mat), mat
+    assert bareiss_det(mats[-3]) == p0 * p1 * 7
+    # a row-permuted L U of size 200, det = sign * prod diag(U): 200 steps
+    # of unreduced updates would overflow int64 many times over
+    size = 200
+    lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(size)] for i in range(size)]
+    diag = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(size)]
+    upper = [[rng.randint(-3, 3) if j > i else diag[i] * (i == j) for j in range(size)] for i in range(size)]
+    perm = list(range(size))
+    rng.shuffle(perm)
+    lu = (np.array(lower) @ np.array(upper))[perm]
+    inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+    expect = (-1) ** inversions
+    for d in diag:
+        expect *= d
+    assert bareiss_det(lu) == expect
+    # |det| equals the Hadamard bound prod_i ||row_i|| exactly
+    had = sylvester_hadamard(16)
+    assert abs(bareiss_det(had)) == 16**8
+    assert bareiss_det(had) == python_int_bareiss(had)
+    assert bareiss_det(np.array(had)) == bareiss_det(had)
+
+
+def test_det_prime_table():
+    primes = [_det_prime(i) for i in range(40)]
+    assert len(set(primes)) == len(primes)
+    assert all(p < 2**31 and is_prime(p) for p in primes)
+    # the largest primes below 2^29, in order: none skipped
+    expect, cand = [], 2**29 - 1
+    while len(expect) < len(primes):
+        if is_prime(cand):
+            expect.append(cand)
+        cand -= 2
+    assert primes == expect
+    # strong pseudoprimes to base 2 (2047) and to bases 2, 3, 5, 7
+    assert not _is_prime_u32(2047)
+    assert not _is_prime_u32(3215031751)
+
+
+def test_importing_qjordan_builds_no_prime_table():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import qjordan, qjordan.scheme as s; n = s._det_prime.cache_info().currsize; "
+        "qjordan.bareiss_det([[3]]); print(n, s._det_prime.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_matrix_tree_oracle_small():
