@@ -102,13 +102,11 @@ class CycInt:
         return None
 
     def __add__(self, other):
-        # the hot case (the scheme's adjacency sums): skip _coerce
-        if type(other) is CycInt and other.p == self.p:
-            return CycInt._raw(self.p, tuple(map(add, self.coeffs, other.coeffs)))
-        o = self._coerce(other)
+        # the hot case (the scheme's adjacency sums) skips _coerce
+        o = other if type(other) is CycInt and other.p == self.p else self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt._raw(self.p, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycInt._raw(self.p, tuple(map(add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 

@@ -169,11 +169,9 @@ def rooted_tree_count(n: int, m: int, q: int) -> int:
 # -- exact determinants and the matrix-tree oracle ------------------------------
 
 
-# Determinants are taken modulo primes below 2^_PRIME_BITS, largest first.
-# A product of two residues is below 2^58, so an int64 entry absorbs
-# _LAG = 2^(63 - 58) = 32 elimination updates before it must be reduced.
-_PRIME_BITS = 29
-_LAG = 2 ** (63 - 2 * _PRIME_BITS)
+# Determinants are taken modulo primes below 2^_PRIME_BITS, largest first;
+# a product of two residues is below 2^62 and fits in int64.
+_PRIME_BITS = 31
 # primes eliminated together: one (4, N, N) int64 block, so memory stays
 # a few times the size of one residue matrix
 _PRIME_BLOCK = 4
@@ -181,7 +179,14 @@ _PRIME_BLOCK = 4
 
 def _is_prime_u32(n: int) -> bool:
     """Deterministic Miller-Rabin for odd n with 61 < n < 2^32: the bases
-    2, 7 and 61 have no common strong pseudoprime below 4,759,123,141."""
+    2, 7 and 61 have no common strong pseudoprime below 4,759,123,141.
+
+    Kept apart from qcombinatorics.is_prime on purpose.  That trial division
+    serves q and the cyclotomic prime, which are small.  Here it would cost
+    0.09 s to scan the ~300 odd candidates below 2^31 that a 129 x 129
+    matrix-tree determinant needs (Miller-Rabin: 3 ms), paid again by every
+    CLI command in its fresh interpreter.  It also stays an independent
+    check of this table in the tests."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -216,8 +221,8 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
     shape (P, N, N).  Each prime picks its own pivot row, the first nonzero
     entry at or below the diagonal; a column with none leaves a zero pivot,
     so that prime's determinant is 0.  The determinant is the signed
-    product of the pivots.  The trailing block is reduced only every _LAG
-    steps; the pivot row and column, which feed the products, every step.
+    product of the pivots.  Every entry is reduced mod p after each step,
+    so each product of two entries stays below 2^62.
     """
     pm = np.array(primes, dtype=np.int64)[:, None]
     if mat.dtype == object:
@@ -229,13 +234,11 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
     det = [1] * len(primes)
     for k in range(size):
         col = a[:, k:, k]
-        col %= pm
         piv = k + np.argmax(col != 0, axis=1)
         swap = piv != k
         if swap.any():
             a[lanes, k], a[lanes, piv] = a[lanes, piv], a[lanes, k]
         row = a[:, k, k + 1 :]
-        row %= pm
         pivots = a[:, k, k].tolist()
         for j, (x, p) in enumerate(zip(pivots, primes)):
             det[j] = det[j] * (p - x if swap[j] else x) % p
@@ -244,15 +247,14 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
             f = a[:, k + 1 :, k] * np.array(inv, dtype=np.int64)[:, None] % pm
             rest = a[:, k + 1 :, k + 1 :]
             rest -= f[:, :, None] * row[:, None, :]
-            if (k + 1) % _LAG == 0:
-                rest %= pm[:, :, None]
+            rest %= pm[:, :, None]
     return det
 
 
 def bareiss_det(matrix) -> int:
     """Exact determinant of an integer matrix, by multimodular elimination.
 
-    The determinant is taken modulo primes p < 2^29 by Gaussian elimination
+    The determinant is taken modulo primes p < 2^31 by Gaussian elimination
     over Z/p (see _det_mod_primes), _PRIME_BLOCK primes at a time, and
     lifted by the Chinese remainder theorem to the symmetric residue.  The
     primes are taken until their product M exceeds twice the Hadamard bound

@@ -261,7 +261,7 @@ def test_bareiss_det_matches_python_int_reference():
     rng = random.Random(2024)
     mats = []
     # entries past 2^31 and negative: the int64 path (< 2^63) and the
-    # object path (>= 2^63); sizes past 32 run the lazy full reductions
+    # object path (>= 2^63)
     for size, bits in [(1, 40), (3, 31), (5, 62), (6, 70), (8, 100), (40, 35)]:
         mats.append([[rng.randint(-(2**bits), 2**bits) for _ in range(size)] for _ in range(size)])
     # singular: a dependent row, a zero row, a zero column
@@ -278,8 +278,8 @@ def test_bareiss_det_matches_python_int_reference():
     for mat in mats:
         assert bareiss_det(mat) == python_int_bareiss(mat), mat
     assert bareiss_det(mats[-3]) == p0 * p1 * 7
-    # a row-permuted L U of size 200, det = sign * prod diag(U): 200 steps
-    # of unreduced updates would overflow int64 many times over
+    # a row-permuted L U of size 200, det = sign * prod diag(U): an
+    # elimination that skipped the reduction mod p would overflow int64
     size = 200
     lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(size)] for i in range(size)]
     diag = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(size)]
@@ -303,8 +303,8 @@ def test_det_prime_table():
     primes = [_det_prime(i) for i in range(40)]
     assert len(set(primes)) == len(primes)
     assert all(p < 2**31 and is_prime(p) for p in primes)
-    # the largest primes below 2^29, in order: none skipped
-    expect, cand = [], 2**29 - 1
+    # the largest primes below 2^31, in order: none skipped
+    expect, cand = [], 2**31 - 1
     while len(expect) < len(primes):
         if is_prime(cand):
             expect.append(cand)
