@@ -80,33 +80,22 @@ def fq_nullspace(mat, q: int) -> np.ndarray:
     return basis
 
 
-def snf_matrix(mat, q: int) -> np.ndarray:
-    """Schubert normal form of the column space of ``mat`` (zero columns dropped).
-
-    Computed as the transposed RREF of the transpose: RREF pivots become the
-    topmost nonzero entries of the columns, increasing left to right.
-    """
-    m = np.asarray(mat, dtype=np.int64)
-    n = m.shape[0]
-    if m.size == 0:
-        return np.zeros((n, 0), dtype=np.int64)
-    t = np.ascontiguousarray(m.T % q)
-    rank = rref_in_place(t, q)
-    return np.ascontiguousarray(t[:rank].T)
-
-
 def subspaces_from_matrix_batch(q: int, mats: np.ndarray) -> list["Subspace"]:
-    """Canonicalize a whole (B, n, c) batch with one kernel dispatch.
+    """Canonicalize the column spaces of a whole (B, n, c) batch with one
+    kernel dispatch; the one canonicalizer (``Subspace.from_matrix`` is a
+    batch of one).
 
-    This is the fast path behind orbit tables and cover enumeration, where
-    thousands of tiny matrices get reduced at once.
+    Schubert normal form is the transposed RREF of the transpose: RREF
+    pivots become the topmost nonzero entries of the columns, increasing
+    left to right, and zero columns drop out.  Orbit tables and cover
+    enumeration reduce thousands of tiny matrices at once this way.
     """
-    inv_table(q)
+    inv = inv_table(q)
     nb, n, c = mats.shape
     if c == 0:
         return [Subspace.zero(q, n)] * nb
     t = np.ascontiguousarray(np.transpose(mats, (0, 2, 1)) % q)
-    ranks = _kernels.rref_batch(t, q, inv_table(q))
+    ranks = _kernels.rref_batch(t, q, inv)
     return [
         Subspace._make(q, n, np.ascontiguousarray(t[b, : ranks[b]].T))
         for b in range(nb)
@@ -149,12 +138,12 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, q: int, mat) -> Subspace:
-        """Canonicalize the column space of an arbitrary matrix over F_q."""
-        inv_table(q)  # validates primality
+        """Canonicalize the column space of an arbitrary matrix over F_q,
+        as a batch of one."""
         m = np.asarray(mat, dtype=np.int64)
         if m.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
-        return cls._make(q, m.shape[0], snf_matrix(m % q, q))
+        return subspaces_from_matrix_batch(q, m[None])[0]
 
     @classmethod
     def zero(cls, q: int, n: int) -> Subspace:
@@ -173,11 +162,6 @@ class Subspace:
         if vecs.size == 0:
             return cls.zero(q, n)
         return cls.from_matrix(q, vecs.T)
-
-    @classmethod
-    def _trusted_snf(cls, q: int, n: int, snf: np.ndarray) -> Subspace:
-        """Wrap a matrix already known to be in Schubert normal form."""
-        return cls._make(q, n, snf)
 
     # -- basic structure -----------------------------------------------------
 
@@ -278,7 +262,7 @@ class Subspace:
         m[: self.n, : self.k] = self._mat
         m[self.n, self.k] = 1
         # appending a zero row and the column e_{n+1} preserves normal form
-        return Subspace._trusted_snf(self.q, self.n + 1, m)
+        return Subspace._make(self.q, self.n + 1, m)
 
     def embed(self, ambient: int) -> Subspace:
         """The same subspace inside F_q^ambient (appended coordinates zero)."""
@@ -288,7 +272,7 @@ class Subspace:
             return self
         m = np.zeros((ambient, self.k), dtype=np.int64)
         m[: self.n] = self._mat
-        return Subspace._trusted_snf(self.q, ambient, m)
+        return Subspace._make(self.q, ambient, m)
 
     def restrict(self, ambient: int) -> Subspace:
         """Inverse of embed; requires the trailing coordinates to vanish."""
@@ -296,7 +280,7 @@ class Subspace:
             raise ValueError(f"cannot restrict ambient {self.n} to {ambient}")
         if np.any(self._mat[ambient:]):
             raise ValueError(f"{self!r} is not contained in the first {ambient} coordinates")
-        return Subspace._trusted_snf(self.q, ambient, self._mat[:ambient].astype(np.int64))
+        return Subspace._make(self.q, ambient, self._mat[:ambient].astype(np.int64))
 
     # -- serialization -----------------------------------------------------------
 

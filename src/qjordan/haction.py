@@ -23,6 +23,7 @@ from .cyclotomic import CycInt
 from .gflinalg import Subspace, mu_apply, subspaces_from_matrix_batch
 from .lattice import (
     LatticeVector,
+    _accumulate,
     all_coordinate_vectors,
     enumerate_all,
     enumerate_rank,
@@ -184,12 +185,8 @@ def theta(v: LatticeVector) -> LatticeVector:
     F_q^(n+1) whose hyperplane intersection is X; raises rank by one and
     intertwines q*U_n with U_(n+1).
     """
-    out: dict[Subspace, CycInt] = {}
-    for sub, coeff in v.items():
-        for img in orbit_table(sub.hat()).orbit:
-            cur = out.get(img)
-            out[img] = coeff if cur is None else cur + coeff
-    return LatticeVector(v.q, v.n + 1, out)
+    images = ((img, coeff) for sub, coeff in v.items() for img in orbit_table(sub.hat()).orbit)
+    return LatticeVector(v.q, v.n + 1, _accumulate(images))
 
 
 @cache
@@ -238,10 +235,12 @@ def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
     if v.n != n - 1:
         raise ValueError(f"gamma input must live in ambient {n - 1}, got {v.n}")
     hyper = find_hyperplane(chi, n)
-    out = LatticeVector.zero(v.q, n + 1)
-    for sub, coeff in v.items():
-        out = out + coeff * p_chi(chi, _mu_hat(hyper, sub))
-    return out
+    images = (
+        (img, c * coeff)
+        for sub, coeff in v.items()
+        for img, c in p_chi(chi, _mu_hat(hyper, sub)).items()
+    )
+    return LatticeVector(v.q, n + 1, _accumulate(images))
 
 
 @cache
@@ -292,16 +291,16 @@ def verify_decomposition(n: int, q: int) -> Report:
         raise ValueError(f"verify_decomposition needs n >= 1, got {n}")
     checks: list[Check] = []
 
-    basis_n = [LatticeVector.basis(x) for x in _all_subspaces(n, q)]
-    theta_images = [(x, theta(LatticeVector.basis(x))) for x in _all_subspaces(n, q)]
+    embedded = [LatticeVector.basis(x).embed(n + 1) for x in enumerate_all(n, q)]
+    theta_images = [(x, theta(LatticeVector.basis(x))) for x in enumerate_all(n, q)]
     chars = list(characters(n, q))
     gamma_images = {
-        chi: [(y, gamma(chi, LatticeVector.basis(y))) for y in _all_subspaces(n - 1, q)]
+        chi: [(y, gamma(chi, LatticeVector.basis(y))) for y in enumerate_all(n - 1, q)]
         for chi in chars
     }
 
     # dimension counts: G(n+1) = G(n) + G(n) + (q^n - 1) G(n-1)
-    produced = len(basis_n) + len(theta_images) + sum(len(v) for v in gamma_images.values())
+    produced = len(embedded) + len(theta_images) + sum(len(v) for v in gamma_images.values())
     expected = galois_number(n + 1, q)
     recurrence = 2 * galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q)
     all_nonzero = all(not img.is_zero for _, img in theta_images) and all(
@@ -317,40 +316,38 @@ def verify_decomposition(n: int, q: int) -> Report:
     )
 
     # ranksets: theta raises rank k -> k+1 for k = 0..n, gamma for k = 0..n-1
-    bad = ""
-    ranks0 = set()
-    for x, img in theta_images:
-        if not img.is_homogeneous() or img.rank() != x.k + 1:
-            bad = f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
-            break
-        ranks0.add(img.rank())
-    if not bad and ranks0 != set(range(1, n + 2)):
-        bad = f"rankset of the trivial block is {sorted(ranks0)}"
+    def trivial_block_faults():
+        for x, img in theta_images:
+            if not img.is_homogeneous() or img.rank() != x.k + 1:
+                yield f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
+        ranks = sorted({img.rank() for _, img in theta_images})
+        if ranks != list(range(1, n + 2)):
+            yield f"rankset of the trivial block is {ranks}"
+
+    bad = next(trivial_block_faults(), "")
     checks.append(Check("rankset-trivial-block", not bad, bad))
 
-    bad = ""
-    for chi, imgs in gamma_images.items():
-        ranks = set()
-        for y, img in imgs:
-            if not img.is_homogeneous() or img.rank() != y.k + 1:
-                bad = f"gamma image of {y!r} under c={chi.c} has wrong rank"
-                break
-            ranks.add(img.rank())
-        if bad:
-            break
-        if ranks != set(range(1, n + 1)):
-            bad = f"rankset of block c={chi.c} is {sorted(ranks)}"
+    def character_block_faults():
+        for chi, imgs in gamma_images.items():
+            for y, img in imgs:
+                if not img.is_homogeneous() or img.rank() != y.k + 1:
+                    yield f"gamma image of {y!r} under c={chi.c} has wrong rank"
+            ranks = sorted({img.rank() for _, img in imgs})
+            if ranks != list(range(1, n + 1)):
+                yield f"rankset of block c={chi.c} is {ranks}"
+
+    bad = next(character_block_faults(), "")
     checks.append(Check("rankset-character-blocks", not bad, bad))
 
     # up-operator splitting: U_(n+1) x = U_n x + theta x on basis elements
-    bad = ""
-    for x in _all_subspaces(n, q):
-        v = LatticeVector.basis(x)
-        lhs = up_apply(v.embed(n + 1))
-        rhs = up_apply(v).embed(n + 1) + theta(v)
-        if lhs != rhs:
-            bad = f"splitting fails on {x!r}"
-            break
+    bad = next(
+        (
+            f"splitting fails on {x!r}"
+            for (x, img), v in zip(theta_images, embedded)
+            if up_apply(v) != up_apply(LatticeVector.basis(x)).embed(n + 1) + img
+        ),
+        "",
+    )
     checks.append(Check("up-splitting", not bad, bad))
 
     # inner-product scalings and block orthogonality, read off the Gram
@@ -360,7 +357,6 @@ def verify_decomposition(n: int, q: int) -> Report:
         (chi, y, img) for chi, imgs in gamma_images.items() for y, img in imgs
     ]
     outside = [img for _, img in theta_images] + [img for _, _, img in flat_gamma]
-    embedded = [LatticeVector.basis(x).embed(n + 1) for x in _all_subspaces(n, q)]
     nt = len(theta_images)
     full = gram(outside, outside)
     nonzero = full.any(axis=-1)
@@ -378,41 +374,44 @@ def verify_decomposition(n: int, q: int) -> Report:
             bad = f"theta images of {x!r}, {y!r} not orthogonal"
     checks.append(Check("theta-scaling", not bad, bad))
 
-    bad = ""
-    lo = 0
-    for chi, imgs in gamma_images.items():
-        hi = lo + len(imgs)
-        block = gamma_gram[lo:hi, lo:hi]
-        hit = _first_scaling_miss(block, [q ** (n + y.k) for y, _ in imgs])
-        lo = hi
-        if hit is not None:
-            (y, _), (z, _) = imgs[hit[0]], imgs[hit[1]]
-            if y.k == z.k:
-                expect = q ** (n + y.k) if y is z else 0
-                bad = f"c={chi.c}: <gamma {y!r}, gamma {z!r}> != {expect}"
-            else:
-                bad = f"c={chi.c}: gamma images of {y!r}, {z!r} not orthogonal"
-            break
+    def gamma_scaling_faults():
+        lo = 0
+        for chi, imgs in gamma_images.items():
+            hi = lo + len(imgs)
+            block = gamma_gram[lo:hi, lo:hi]
+            hit = _first_scaling_miss(block, [q ** (n + y.k) for y, _ in imgs])
+            lo = hi
+            if hit is not None:
+                (y, _), (z, _) = imgs[hit[0]], imgs[hit[1]]
+                if y.k == z.k:
+                    expect = q ** (n + y.k) if y is z else 0
+                    yield f"c={chi.c}: <gamma {y!r}, gamma {z!r}> != {expect}"
+                else:
+                    yield f"c={chi.c}: gamma images of {y!r}, {z!r} not orthogonal"
+
+    bad = next(gamma_scaling_faults(), "")
     checks.append(Check("gamma-scaling", not bad, bad))
 
     # intertwining: theta(q U v) = U theta(v), gamma(U v) = U gamma(v)
-    bad = ""
-    for x in _all_subspaces(n, q):
-        v = LatticeVector.basis(x)
-        if theta(up_apply(v) * q) != up_apply(theta(v)):
-            bad = f"theta intertwining fails on {x!r}"
-            break
+    bad = next(
+        (
+            f"theta intertwining fails on {x!r}"
+            for x, img in theta_images
+            if theta(up_apply(LatticeVector.basis(x)) * q) != up_apply(img)
+        ),
+        "",
+    )
     checks.append(Check("theta-intertwining", not bad, bad))
 
-    bad = ""
-    for chi in chars:
-        for y in _all_subspaces(n - 1, q):
-            v = LatticeVector.basis(y)
-            if gamma(chi, up_apply(v)) != up_apply(gamma(chi, v)):
-                bad = f"gamma intertwining fails on {y!r} for c={chi.c}"
-                break
-        if bad:
-            break
+    bad = next(
+        (
+            f"gamma intertwining fails on {y!r} for c={chi.c}"
+            for chi, imgs in gamma_images.items()
+            for y, img in imgs
+            if gamma(chi, up_apply(LatticeVector.basis(y))) != up_apply(img)
+        ),
+        "",
+    )
     checks.append(Check("gamma-intertwining", not bad, bad))
 
     # orthogonality across blocks, in the order of a pairwise scan: each
@@ -453,12 +452,14 @@ def verify_decomposition(n: int, q: int) -> Report:
     checks.append(Check("block-orthogonality", not bad, bad))
 
     # each hyperplane is hit by exactly q-1 characters
-    bad = ""
-    for x in enumerate_rank(n, n - 1, q):
-        hits = sum(1 for chi in chars if not p_chi(chi, x.hat()).is_zero)
-        if hits != q - 1:
-            bad = f"{x!r} survives for {hits} characters, expected {q - 1}"
-            break
+    hits = (
+        (x, sum(1 for chi in chars if not p_chi(chi, x.hat()).is_zero))
+        for x in enumerate_rank(n, n - 1, q)
+    )
+    bad = next(
+        (f"{x!r} survives for {h} characters, expected {q - 1}" for x, h in hits if h != q - 1),
+        "",
+    )
     checks.append(Check("characters-per-hyperplane", not bad, bad))
 
     return Report(tuple(checks))
@@ -477,7 +478,3 @@ def _first_scaling_miss(block: np.ndarray, diagonal: list[int]) -> tuple[int, in
     idx = np.arange(len(diagonal))
     expect[idx, idx, 0] = diagonal
     return _first_true(np.triu((block != expect).any(axis=-1)))
-
-
-def _all_subspaces(n: int, q: int) -> tuple[Subspace, ...]:
-    return enumerate_all(n, q)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,14 +42,14 @@ def enumerate_rank(n: int, k: int, q: int) -> tuple[Subspace, ...]:
             if i not in pivot_set
         ]
         if not free:
-            out.append(Subspace._trusted_snf(q, n, template))
+            out.append(Subspace._make(q, n, template))
             continue
         for code in range(q ** len(free)):
             mat = template.copy()
             for t in range(len(free) - 1, -1, -1):
                 code, digit = divmod(code, q)
                 mat[free[t]] = digit
-            out.append(Subspace._trusted_snf(q, n, mat))
+            out.append(Subspace._make(q, n, mat))
     result = tuple(out)
     assert len(result) == q_binomial(n, k, q)
     return result
@@ -262,18 +262,25 @@ class LatticeVector:
         return cls(q, n, terms)
 
 
+def _accumulate(pairs: Iterable[tuple[Hashable, CycInt]]) -> dict:
+    """Sum the values of (key, value) pairs by key, in order of first sight.
+
+    The one sum behind every linear map given by the images of basis
+    subspaces (U, theta, gamma, the A_i).  A key met once keeps its value
+    unchanged, with no add against a zero; a sum that cancels stays in the
+    result as zero, and ``LatticeVector`` drops it.
+    """
+    acc: dict = {}
+    for key, value in pairs:
+        cur = acc.get(key)
+        acc[key] = value if cur is None else cur + value
+    return acc
+
+
 def up_apply(v: LatticeVector) -> LatticeVector:
     """Linear extension of x -> sum of the subspaces covering x."""
-    acc: dict[Subspace, CycInt] = {}
-    for sub, coeff in v.items():
-        for cover in covers_of(sub):
-            cur = acc.get(cover)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero:
-                acc.pop(cover, None)
-            else:
-                acc[cover] = new
-    return LatticeVector(v.q, v.n, acc)
+    images = ((cover, coeff) for sub, coeff in v.items() for cover in covers_of(sub))
+    return LatticeVector(v.q, v.n, _accumulate(images))
 
 
 def inner(v: LatticeVector, w: LatticeVector) -> CycInt:

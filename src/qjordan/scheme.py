@@ -22,9 +22,8 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .cyclotomic import CycInt
-from .gflinalg import inv_table
-from .lattice import LatticeVector, enumerate_rank
+from .gflinalg import Subspace, inv_table
+from .lattice import LatticeVector, _accumulate, enumerate_rank
 from .qcombinatorics import q_binomial, q_int
 from .sjb import SJB
 
@@ -85,11 +84,12 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
     if not v.is_homogeneous() or v.rank() != m:
         raise ValueError(f"input must be homogeneous of rank {m}")
     vertices, index_of, rel = _relations(v.q, n, m)
-    zero = CycInt.zero(v.q)
-    acc: dict[int, CycInt] = {}
-    for sub, coeff in v.items():
-        for x in np.flatnonzero(rel[index_of[sub]] == i).tolist():
-            acc[x] = acc.get(x, zero) + coeff
+    # keyed by vertex index: an int hashes in C, a Subspace in Python
+    acc = _accumulate(
+        (x, coeff)
+        for sub, coeff in v.items()
+        for x in np.flatnonzero(rel[index_of[sub]] == i).tolist()
+    )
     return LatticeVector(v.q, n, {vertices[x]: acc[x] for x in sorted(acc)})
 
 
@@ -131,13 +131,16 @@ def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> 
     image = adjacency_apply(n, m, i, vec)
     base_sub, base_coeff = vec.sorted_items()[0]
     image_base = image.coeff(base_sub)
-    support = set(vec.support()) | set(image.support())
-    for sub in support:
-        # cross-multiplied eigen equation: exact, no division needed
-        if image.coeff(sub) * base_coeff != image_base * vec.coeff(sub):
-            raise EigenStructureError(
-                f"chain {ci}: not an eigenvector of A_{i} at coordinate {sub!r}"
-            )
+    # cross-multiplied eigen equation: exact, no division needed
+    lhs, rhs = image * base_coeff, vec * image_base
+    if lhs != rhs:
+        sub = min(
+            (s for s in {*lhs.support(), *rhs.support()} if lhs.coeff(s) != rhs.coeff(s)),
+            key=Subspace.sort_key,
+        )
+        raise EigenStructureError(
+            f"chain {ci}: not an eigenvector of A_{i} at coordinate {sub!r}"
+        )
     try:
         return image_base.divexact(base_coeff).to_int()
     except ValueError as exc:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qjordan import Subspace, as_fq_matrix, mu_apply, schubert_normal_form
+from qjordan.gflinalg import subspaces_from_matrix_batch
 from qjordan.lattice import enumerate_all, enumerate_rank
 
 
@@ -234,3 +235,21 @@ def test_sort_key_orders_enumeration():
             keys = [s.sort_key() for s in seq]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+
+
+def test_from_matrix_is_a_batch_of_one():
+    rng = random.Random(11)
+    cases = [
+        (3, [[-1, 5, 0, 7], [2, -3, 0, 4]]),  # negative, >= q, a zero column, c > n
+        (2, [[0, 0, 0], [0, 0, 0]]),  # only zero columns
+        (5, np.zeros((0, 3), dtype=np.int64)),  # n = 0
+        (5, np.zeros((3, 0), dtype=np.int64)),  # no columns
+    ]
+    for q in (2, 3, 5):
+        for _ in range(40):
+            n, c = rng.randint(0, 4), rng.randint(0, 6)
+            entries = [rng.randint(-2 * q, 2 * q) for _ in range(n * c)]
+            cases.append((q, np.array(entries, dtype=np.int64).reshape(n, c)))
+    for q, mat in cases:
+        mat = np.asarray(mat, dtype=np.int64)
+        assert Subspace.from_matrix(q, mat) is subspaces_from_matrix_batch(q, mat[None])[0]

@@ -1,9 +1,12 @@
 """Group action, characters, projections and the lattice decomposition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjordan import (
     Character,
+    CycInt,
     LatticeVector,
     Subspace,
     act,
@@ -292,4 +295,154 @@ def test_gamma_scaling_names_a_scaled_image(monkeypatch):
     assert not check.passed
     assert check.detail == (
         f"c={chi.c}: <gamma {target!r}, gamma {target!r}> != {q ** (n + 1)}"
+    )
+
+
+@st.composite
+def gamma_cases(draw):
+    """A nontrivial character and a multi-term vector of B_q(n-1) whose
+    coefficients are arbitrary elements of Z[w], mostly not monomials."""
+    q, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]))
+    chi = draw(st.sampled_from(list(characters(n, q))))
+    subs = draw(st.lists(st.sampled_from(enumerate_all(n - 1, q)), min_size=1, unique=True))
+    coeff = st.lists(st.integers(-3, 3), min_size=q - 1, max_size=q - 1)
+    terms = {sub: CycInt(q, tuple(draw(coeff))) for sub in subs}
+    return chi, LatticeVector(q, n - 1, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma_cases())
+def test_gamma_is_the_sum_of_its_projected_terms(case):
+    from qjordan.haction import _mu_hat
+
+    chi, v = case
+    hyper = find_hyperplane(chi, chi.n)
+    expect = sum(
+        (coeff * p_chi(chi, _mu_hat(hyper, sub)) for sub, coeff in v.items()),
+        LatticeVector.zero(v.q, chi.n + 1),
+    )
+    assert gamma(chi, v) == expect
+
+
+def _decomposition_detail(n, q, name):
+    check = {c.name: c for c in verify_decomposition(n, q).checks}[name]
+    assert not check.passed
+    return check.detail
+
+
+# Each check below is made to fail on more than one input; the detail must
+# name the input that the check's scan order meets first.
+
+
+def test_rankset_trivial_block_names_the_first_bad_image(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    subs = enumerate_all(n, q)
+    bad = [LatticeVector.basis(subs[5]), LatticeVector.basis(subs[2])]
+    stray = LatticeVector.basis(Subspace.zero(q, n + 1))
+    original = haction.theta
+
+    def mixed(v):
+        image = original(v)
+        return image + stray if any(v == b for b in bad) else image
+
+    monkeypatch.setattr(haction, "theta", mixed)
+    assert _decomposition_detail(n, q, "rankset-trivial-block") == (
+        f"theta image of {subs[2]!r} is not homogeneous of rank {subs[2].k + 1}"
+    )
+
+
+def test_rankset_character_blocks_names_the_first_bad_image(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 3, 2
+    chars, ys = list(characters(n, q)), enumerate_all(n - 1, q)
+    # block order first: (chars[1], ys[3]) precedes (chars[4], ys[0])
+    bad = {(chars[4], 0), (chars[1], 3), (chars[1], 4)}
+    stray = LatticeVector.basis(Subspace.zero(q, n + 1))
+    original = haction.gamma
+
+    def mixed(chi, v):
+        image = original(chi, v)
+        hit = any((chi, i) in bad and v == LatticeVector.basis(y) for i, y in enumerate(ys))
+        return image + stray if hit else image
+
+    monkeypatch.setattr(haction, "gamma", mixed)
+    assert _decomposition_detail(n, q, "rankset-character-blocks") == (
+        f"gamma image of {ys[3]!r} under c={chars[1].c} has wrong rank"
+    )
+
+
+def test_up_splitting_names_the_first_bad_subspace(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    subs = enumerate_all(n, q)
+    bad = [LatticeVector.basis(subs[i].embed(n + 1)) for i in (4, 1, 5)]
+    original = haction.up_apply
+
+    def doubled(v):
+        image = original(v)
+        return image * 2 if any(v == b for b in bad) else image
+
+    monkeypatch.setattr(haction, "up_apply", doubled)
+    assert _decomposition_detail(n, q, "up-splitting") == f"splitting fails on {subs[1]!r}"
+
+
+def test_theta_intertwining_names_the_first_bad_subspace(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    subs = enumerate_all(n, q)
+    bad = [LatticeVector.basis(subs[i]) for i in (4, 3)]
+    original = haction.theta
+
+    def doubled(v):
+        image = original(v)
+        return image * 2 if any(v == b for b in bad) else image
+
+    monkeypatch.setattr(haction, "theta", doubled)
+    assert _decomposition_detail(n, q, "theta-intertwining") == (
+        f"theta intertwining fails on {subs[3]!r}"
+    )
+
+
+def test_gamma_intertwining_names_the_first_bad_pair(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 3, 2
+    chars, ys = list(characters(n, q)), enumerate_all(n - 1, q)
+    # characters are the outer loop: (chars[2], ys[2]) precedes (chars[5], ys[0]);
+    # ys[0..3] have rank <= 1, so U of them never meets a doubled input
+    bad = {(chars[5], 0), (chars[2], 2), (chars[2], 3)}
+    original = haction.gamma
+
+    def doubled(chi, v):
+        image = original(chi, v)
+        hit = any((chi, i) in bad and v == LatticeVector.basis(y) for i, y in enumerate(ys))
+        return image * 2 if hit else image
+
+    monkeypatch.setattr(haction, "gamma", doubled)
+    assert _decomposition_detail(n, q, "gamma-intertwining") == (
+        f"gamma intertwining fails on {ys[2]!r} for c={chars[2].c}"
+    )
+
+
+def test_characters_per_hyperplane_names_the_first_bad_hyperplane(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    hyperplanes = enumerate_rank(n, n - 1, q)
+    bad = {hyperplanes[3].hat(), hyperplanes[1].hat()}
+    original = haction.p_chi
+
+    def surviving(chi, x):
+        # every character survives on the bad hyperplanes
+        image = original(chi, x)
+        return LatticeVector.basis(x) if image.is_zero and x in bad else image
+
+    monkeypatch.setattr(haction, "p_chi", surviving)
+    assert _decomposition_detail(n, q, "characters-per-hyperplane") == (
+        f"{hyperplanes[1]!r} survives for {q**n - 1} characters, expected {q - 1}"
     )

@@ -1,5 +1,6 @@
 """Adjacency operators, eigenvalue extraction, spectra and tree counts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjordan import (
+    CycInt,
     EigenStructureError,
     LatticeVector,
     Subspace,
@@ -29,10 +33,12 @@ from qjordan import (
     q_binomial,
     q_int,
     rooted_tree_count,
+    sjb_to_json,
     ud_du_count,
 )
 from qjordan.qcombinatorics import is_prime
 from qjordan.scheme import _det_prime, _is_prime_u32, _relations
+from qjordan.sjb import SJB, JordanChain
 
 
 def all_ones(q, n, m):
@@ -422,3 +428,81 @@ def test_theorem_jg_and_cayley_reduction():
     for n in (4, 5, 6):
         rooted = matrix_tree_oracle(*johnson_graph(n, 1))
         assert n * rooted == n**n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjacency_apply_is_the_sum_over_neighbours(data):
+    q, n, m = data.draw(st.sampled_from([(2, 4, 2), (2, 3, 1), (3, 3, 1), (3, 4, 1), (5, 2, 1)]))
+    i = data.draw(st.integers(0, m))
+    vertices = enumerate_rank(n, m, q)
+    subs = data.draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+    # entries of +-1 in one slot make cancelling neighbour sums likely
+    coeff = st.lists(st.integers(-1, 1), min_size=q - 1, max_size=q - 1)
+    v = LatticeVector(q, n, {sub: CycInt(q, tuple(data.draw(coeff))) for sub in subs})
+    expect = {}
+    for x in vertices:
+        total = CycInt.zero(q)
+        for y, c in v.items():
+            if x.intersect(y).k == m - i:
+                total = total + c
+        expect[x] = total
+    assert adjacency_apply(n, m, i, v) == LatticeVector(q, n, expect)
+
+
+def _drop_two_terms(basis, m):
+    """The basis with two terms removed from the rank-m vector of its first
+    chain through rank m."""
+    chains = list(basis.chains)
+    target = next(i for i, c in enumerate(chains) if c.start_rank <= m <= c.end_rank)
+    chain = chains[target]
+    vecs = list(chain.vectors)
+    idx = m - chain.start_rank
+    kept = dict(vecs[idx].sorted_items()[2:])
+    vecs[idx] = LatticeVector(basis.q, basis.n, kept)
+    chains[target] = JordanChain(chain.start_rank, tuple(vecs))
+    return SJB(basis.q, basis.n, tuple(chains))
+
+
+def _first_eigen_fault(n, m, basis):
+    """The eigentable failure detail, by a scan of each vector's coordinates
+    in Subspace.sort_key order."""
+    for ci, chain in enumerate(basis.chains):
+        if not chain.start_rank <= m <= chain.end_rank:
+            continue
+        vec = chain.vector_at_rank(m)
+        base_sub, base_coeff = vec.sorted_items()[0]
+        for i in range(m + 1):
+            image = adjacency_apply(n, m, i, vec)
+            image_base = image.coeff(base_sub)
+            coords = sorted({*vec.support(), *image.support()}, key=Subspace.sort_key)
+            for sub in coords:
+                if image.coeff(sub) * base_coeff != image_base * vec.coeff(sub):
+                    return f"chain {ci}: not an eigenvector of A_{i} at coordinate {sub!r}"
+    return None
+
+
+def test_eigentable_fault_detail_does_not_depend_on_the_hash_seed(basis_for, tmp_path):
+    broken = _drop_two_terms(basis_for(2, 4), 2)
+    expect = _first_eigen_fault(4, 2, broken)
+    assert expect is not None
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(sjb_to_json(broken)))
+    probe = (
+        "import json, sys\n"
+        "from qjordan import EigenStructureError, eigentable, sjb_from_json\n"
+        "basis = sjb_from_json(json.load(open(sys.argv[1])))\n"
+        "try:\n"
+        "    eigentable(4, 2, basis)\n"
+        "except EigenStructureError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == expect, f"PYTHONHASHSEED={seed}"
