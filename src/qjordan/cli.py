@@ -11,7 +11,7 @@ import json
 import sys
 
 from .haction import verify_decomposition
-from .qcombinatorics import is_prime, verify_identities
+from .qcombinatorics import verify_identities
 from .scheme import (
     EigenStructureError,
     check_theorem_jg,
@@ -23,7 +23,7 @@ from .scheme import (
     johnson_rooted_tree_formula,
     rooted_tree_count,
 )
-from .sjb import MAX_FIELD_ORDER, construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
+from .sjb import check_field_order, construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -91,14 +91,6 @@ def _emit(payload: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_q(q: int) -> str | None:
-    if q >= MAX_FIELD_ORDER:
-        return f"q must be below {MAX_FIELD_ORDER}, got {q}"
-    if not is_prime(q):
-        return f"q must be prime, got {q}"
-    return None
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -209,9 +201,10 @@ def cmd_identities(args: argparse.Namespace) -> int:
 def run(args: argparse.Namespace) -> int:
     q, n, m = (getattr(args, key, None) for key in ("q", "n", "m"))
     if q is not None:
-        msg = _check_q(q)
-        if msg:
-            return _usage_error(msg)
+        try:
+            check_field_order(q)
+        except ValueError as exc:
+            return _usage_error(str(exc))
     if n is not None and n < 0:
         return _usage_error(f"n must be >= 0, got {n}")
     if m is not None and n is not None and not 0 <= 2 * m <= n:

@@ -316,11 +316,6 @@ class Subspace:
         return sub
 
 
-def schubert_normal_form(q: int, mat) -> Subspace:
-    """Canonical representative of the column space of ``mat``."""
-    return Subspace.from_matrix(q, mat)
-
-
 def mu_apply(x: Subspace, y: Subspace) -> Subspace:
     """Image of y under the map sending e_j to column j of x's matrix.
 

@@ -29,6 +29,7 @@ from .lattice import (
     enumerate_rank,
     gram,
     up_apply,
+    up_mismatches,
 )
 from .qcombinatorics import galois_number, q_binomial
 from .reporting import Check, Report
@@ -62,9 +63,6 @@ class Character:
 
     def exponent(self, a: tuple[int, ...]) -> int:
         return sum(ci * ai for ci, ai in zip(self.c, a)) % self.q
-
-    def value(self, a: tuple[int, ...]) -> CycInt:
-        return CycInt.omega(self.q, self.exponent(a))
 
     def conj_value(self, a: tuple[int, ...]) -> CycInt:
         return CycInt.omega(self.q, (-self.exponent(a)) % self.q)
@@ -190,31 +188,27 @@ def theta(v: LatticeVector) -> LatticeVector:
 
 
 @cache
-def _find_hyperplane_cached(q: int, c: tuple[int, ...], n: int) -> Subspace:
-    chi = Character(q, c)
-    vectors = group_vectors(n, q)
-    found = []
-    for x in enumerate_rank(n, n - 1, q):
-        table = orbit_table(x.hat())
-        # stabilizer criterion: the projection survives iff chi is trivial
-        # on the stabilizer of x-hat
-        if all(chi.exponent(vectors[g]) == 0 for g in table.stabilizer):
-            if not p_chi(chi, x.hat()).is_zero:
-                found.append(x)
-    if len(found) != 1:
-        raise RuntimeError(
-            f"expected exactly one surviving hyperplane for c={c}, found {len(found)}"
-        )
-    return found[0]
-
-
 def find_hyperplane(chi: Character, n: int) -> Subspace:
-    """The unique hyperplane of F_q^n whose raised class survives p(chi)."""
+    """The unique hyperplane of F_q^n whose raised class survives p(chi).
+
+    p(chi) of x-hat survives exactly when chi is trivial on the stabilizer
+    of x-hat.
+    """
     if chi.is_trivial:
         raise ValueError("find_hyperplane requires a nontrivial character")
     if chi.n != n:
         raise ValueError(f"character indexed by F_{chi.q}^{chi.n}, asked for n={n}")
-    return _find_hyperplane_cached(chi.q, chi.c, n)
+    vectors = group_vectors(n, chi.q)
+    found = [
+        x
+        for x in enumerate_rank(n, n - 1, chi.q)
+        if all(chi.exponent(vectors[g]) == 0 for g in orbit_table(x.hat()).stabilizer)
+    ]
+    if len(found) != 1:
+        raise RuntimeError(
+            f"expected exactly one surviving hyperplane for c={chi.c}, found {len(found)}"
+        )
+    return found[0]
 
 
 @cache
@@ -284,29 +278,31 @@ def character_multiplicity(chi: Character, n: int, k: int) -> int:
 
 def verify_decomposition(n: int, q: int) -> Report:
     """Check the orthogonal decomposition of V(B_q(n+1)) induced by the
-    group action: dimension counts, ranksets, the up-operator splitting,
+    group action: dimension counts, ranks, the up-operator splitting,
     both inner-product scalings, intertwining, block orthogonality and the
-    q-1 count of surviving characters per hyperplane."""
+    q-1 count of surviving characters per hyperplane.
+
+    Each U identity is decided for all its vectors by one ``up_mismatches``
+    call, and every inner-product identity is read off two exact Gram
+    matrices; each failure names the input that a scan meets first.
+    """
     if n < 1:
         raise ValueError(f"verify_decomposition needs n >= 1, got {n}")
     checks: list[Check] = []
 
-    embedded = [LatticeVector.basis(x).embed(n + 1) for x in enumerate_all(n, q)]
-    theta_images = [(x, theta(LatticeVector.basis(x))) for x in enumerate_all(n, q)]
+    xs, ys = enumerate_all(n, q), enumerate_all(n - 1, q)
     chars = list(characters(n, q))
-    gamma_images = {
-        chi: [(y, gamma(chi, LatticeVector.basis(y))) for y in enumerate_all(n - 1, q)]
-        for chi in chars
-    }
+    pairs = [(chi, y) for chi in chars for y in ys]  # gamma's inputs, character-major
+    embedded = [LatticeVector.basis(x).embed(n + 1) for x in xs]
+    theta_images = [theta(LatticeVector.basis(x)) for x in xs]
+    gamma_images = [gamma(chi, LatticeVector.basis(y)) for chi, y in pairs]
+    outside, nt = theta_images + gamma_images, len(theta_images)
 
     # dimension counts: G(n+1) = G(n) + G(n) + (q^n - 1) G(n-1)
-    produced = len(embedded) + len(theta_images) + sum(len(v) for v in gamma_images.values())
+    produced = len(embedded) + len(outside)
     expected = galois_number(n + 1, q)
     recurrence = 2 * galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q)
-    all_nonzero = all(not img.is_zero for _, img in theta_images) and all(
-        not img.is_zero for imgs in gamma_images.values() for _, img in imgs
-    )
-    ok = produced == expected == recurrence and all_nonzero
+    ok = produced == expected == recurrence and not any(v.is_zero for v in outside)
     checks.append(
         Check(
             "dimension-count",
@@ -315,140 +311,101 @@ def verify_decomposition(n: int, q: int) -> Report:
         )
     )
 
-    # ranksets: theta raises rank k -> k+1 for k = 0..n, gamma for k = 0..n-1
-    def trivial_block_faults():
-        for x, img in theta_images:
-            if not img.is_homogeneous() or img.rank() != x.k + 1:
-                yield f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
-        ranks = sorted({img.rank() for _, img in theta_images})
-        if ranks != list(range(1, n + 2)):
-            yield f"rankset of the trivial block is {ranks}"
-
-    bad = next(trivial_block_faults(), "")
+    # theta and gamma raise rank by one: each image's support has exactly
+    # the dimension of its input plus one (a zero image has none)
+    bad = next(
+        (
+            f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
+            for x, img in zip(xs, theta_images)
+            if {s.k for s in img.support()} != {x.k + 1}
+        ),
+        "",
+    )
     checks.append(Check("rankset-trivial-block", not bad, bad))
-
-    def character_block_faults():
-        for chi, imgs in gamma_images.items():
-            for y, img in imgs:
-                if not img.is_homogeneous() or img.rank() != y.k + 1:
-                    yield f"gamma image of {y!r} under c={chi.c} has wrong rank"
-            ranks = sorted({img.rank() for _, img in imgs})
-            if ranks != list(range(1, n + 1)):
-                yield f"rankset of block c={chi.c} is {ranks}"
-
-    bad = next(character_block_faults(), "")
+    bad = next(
+        (
+            f"gamma image of {y!r} under c={chi.c} has wrong rank"
+            for (chi, y), img in zip(pairs, gamma_images)
+            if {s.k for s in img.support()} != {y.k + 1}
+        ),
+        "",
+    )
     checks.append(Check("rankset-character-blocks", not bad, bad))
 
     # up-operator splitting: U_(n+1) x = U_n x + theta x on basis elements
-    bad = next(
-        (
-            f"splitting fails on {x!r}"
-            for (x, img), v in zip(theta_images, embedded)
-            if up_apply(v) != up_apply(LatticeVector.basis(x)).embed(n + 1) + img
-        ),
-        "",
-    )
+    up_x = [up_apply(LatticeVector.basis(x)) for x in xs]
+    split = [u.embed(n + 1) + img for u, img in zip(up_x, theta_images)]
+    hit = _first_true(up_mismatches(embedded, split))
+    bad = "" if hit is None else f"splitting fails on {xs[hit[0]]!r}"
     checks.append(Check("up-splitting", not bad, bad))
 
-    # inner-product scalings and block orthogonality, read off the Gram
-    # matrix of the theta and gamma images (which live outside the
-    # hyperplane) and their Gram matrix against the embedded basis of B_q(n)
-    flat_gamma = [
-        (chi, y, img) for chi, imgs in gamma_images.items() for y, img in imgs
-    ]
-    outside = [img for _, img in theta_images] + [img for _, _, img in flat_gamma]
-    nt = len(theta_images)
+    # inner products: the Gram matrix of the theta and gamma images (which
+    # live outside the hyperplane) against the diagonal it should be, and
+    # their Gram matrix against the embedded basis of B_q(n)
     full = gram(outside, outside)
-    nonzero = full.any(axis=-1)
-    theta_gram, gamma_gram = full[:nt, :nt], full[nt:, nt:]
-    to_embedded = gram(outside, embedded).any(axis=-1)
+    expect = np.zeros_like(full)
+    diagonal = np.arange(len(outside))
+    expect[diagonal, diagonal, 0] = [q ** (n - x.k) for x in xs] + [
+        q ** (n + y.k) for _, y in pairs
+    ]
+    miss = (full != expect).any(axis=-1)
+    meets = gram(outside, embedded).any(axis=-1)
+    # the block of each image: -1 for theta, the character's position for gamma
+    block = np.concatenate([np.full(nt, -1), np.arange(len(pairs)) // len(ys)])
+    same = block[:, None] == block[None, :]
+    scaling = np.triu(miss & same)
 
+    hit = _first_true(scaling[:nt, :nt])
     bad = ""
-    hit = _first_scaling_miss(theta_gram, [q ** (n - x.k) for x, _ in theta_images])
     if hit is not None:
-        (x, _), (y, _) = theta_images[hit[0]], theta_images[hit[1]]
-        if x.k == y.k:
-            expect = q ** (n - x.k) if x is y else 0
-            bad = f"<theta {x!r}, theta {y!r}> != {expect}"
-        else:
-            bad = f"theta images of {x!r}, {y!r} not orthogonal"
+        x, y = xs[hit[0]], xs[hit[1]]
+        bad = _scaling_fault("theta", x, y, q ** (n - x.k))
     checks.append(Check("theta-scaling", not bad, bad))
 
-    def gamma_scaling_faults():
-        lo = 0
-        for chi, imgs in gamma_images.items():
-            hi = lo + len(imgs)
-            block = gamma_gram[lo:hi, lo:hi]
-            hit = _first_scaling_miss(block, [q ** (n + y.k) for y, _ in imgs])
-            lo = hi
-            if hit is not None:
-                (y, _), (z, _) = imgs[hit[0]], imgs[hit[1]]
-                if y.k == z.k:
-                    expect = q ** (n + y.k) if y is z else 0
-                    yield f"c={chi.c}: <gamma {y!r}, gamma {z!r}> != {expect}"
-                else:
-                    yield f"c={chi.c}: gamma images of {y!r}, {z!r} not orthogonal"
-
-    bad = next(gamma_scaling_faults(), "")
+    hit = _first_true(scaling[nt:, nt:])
+    bad = ""
+    if hit is not None:
+        (chi, y), (_, z) = pairs[hit[0]], pairs[hit[1]]
+        bad = f"c={chi.c}: " + _scaling_fault("gamma", y, z, q ** (n + y.k))
     checks.append(Check("gamma-scaling", not bad, bad))
 
     # intertwining: theta(q U v) = U theta(v), gamma(U v) = U gamma(v)
-    bad = next(
-        (
-            f"theta intertwining fails on {x!r}"
-            for x, img in theta_images
-            if theta(up_apply(LatticeVector.basis(x)) * q) != up_apply(img)
-        ),
-        "",
-    )
+    hit = _first_true(up_mismatches(theta_images, [theta(u * q) for u in up_x]))
+    bad = "" if hit is None else f"theta intertwining fails on {xs[hit[0]]!r}"
     checks.append(Check("theta-intertwining", not bad, bad))
 
-    bad = next(
-        (
-            f"gamma intertwining fails on {y!r} for c={chi.c}"
-            for chi, imgs in gamma_images.items()
-            for y, img in imgs
-            if gamma(chi, up_apply(LatticeVector.basis(y))) != up_apply(img)
-        ),
-        "",
-    )
+    up_y = {y: up_apply(LatticeVector.basis(y)) for y in ys}
+    hit = _first_true(up_mismatches(gamma_images, [gamma(chi, up_y[y]) for chi, y in pairs]))
+    bad = ""
+    if hit is not None:
+        chi, y = pairs[hit[0]]
+        bad = f"gamma intertwining fails on {y!r} for c={chi.c}"
     checks.append(Check("gamma-intertwining", not bad, bad))
 
     # orthogonality across blocks, in the order of a pairwise scan: each
     # theta image against its own embedded subspace and then every gamma
     # image; each gamma image against the embedded lattice and then the
-    # later gamma images of other characters
+    # later gamma images of other characters; columns are the nt embedded
+    # subspaces and then the outside images, of which only gamma ones can hit
+    meets[:nt] &= np.eye(nt, dtype=bool)
+    hit = _first_true(np.concatenate([meets, np.triu(miss & ~same)], axis=1))
     bad = ""
-    theta_rows = np.concatenate(
-        [np.diag(to_embedded[:nt].diagonal()), nonzero[:nt, nt:]], axis=1
-    )
-    hit = _first_true(theta_rows)
     if hit is not None:
-        x, _ = theta_images[hit[0]]
-        if hit[1] < nt:
-            bad = f"theta image of {x!r} meets the embedded lattice"
+        i, j = hit
+        if i < nt:
+            x = xs[i]
+            if j < nt:
+                bad = f"theta image of {x!r} meets the embedded lattice"
+            else:
+                chi, y = pairs[j - 2 * nt]
+                bad = f"theta {x!r} not orthogonal to gamma {y!r} (c={chi.c})"
         else:
-            chi, y, _ = flat_gamma[hit[1] - nt]
-            bad = f"theta {x!r} not orthogonal to gamma {y!r} (c={chi.c})"
-    if not bad:
-        block_of = np.repeat(
-            np.arange(len(gamma_images)), [len(imgs) for imgs in gamma_images.values()]
-        )
-        later_other = np.triu(block_of[:, None] != block_of[None, :], k=1)
-        gamma_rows = np.concatenate(
-            [to_embedded[nt:], nonzero[nt:, nt:] & later_other], axis=1
-        )
-        hit = _first_true(gamma_rows)
-        if hit is not None:
-            chi, y, _ = flat_gamma[hit[0]]
-            if hit[1] < nt:
+            chi, y = pairs[i - nt]
+            if j < nt:
                 bad = f"gamma {y!r} (c={chi.c}) meets the embedded lattice"
             else:
-                chj, z, _ = flat_gamma[hit[1] - nt]
-                bad = (
-                    f"gamma blocks c={chi.c} and c={chj.c} not orthogonal "
-                    f"({y!r} vs {z!r})"
-                )
+                chj, z = pairs[j - 2 * nt]
+                bad = f"gamma blocks c={chi.c} and c={chj.c} not orthogonal ({y!r} vs {z!r})"
     checks.append(Check("block-orthogonality", not bad, bad))
 
     # each hyperplane is hit by exactly q-1 characters
@@ -465,16 +422,16 @@ def verify_decomposition(n: int, q: int) -> Report:
     return Report(tuple(checks))
 
 
-def _first_true(mask: np.ndarray) -> tuple[int, int] | None:
-    """Row-major first True entry of a 2-D mask."""
+def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Row-major index of the first True entry of a mask."""
     hits = np.argwhere(mask)
-    return (int(hits[0][0]), int(hits[0][1])) if len(hits) else None
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
-def _first_scaling_miss(block: np.ndarray, diagonal: list[int]) -> tuple[int, int] | None:
-    """First pair i <= j, row-major, where the Gram ``block`` differs from the
-    diagonal matrix with the integers ``diagonal``."""
-    expect = np.zeros_like(block)
-    idx = np.arange(len(diagonal))
-    expect[idx, idx, 0] = diagonal
-    return _first_true(np.triu((block != expect).any(axis=-1)))
+def _scaling_fault(name: str, x: Subspace, y: Subspace, norm: int) -> str:
+    """Why the images of x and y under the map ``name`` break its scaling:
+    different ranks must be orthogonal, equal ones must have <x, y> = norm
+    if x is y and 0 otherwise."""
+    if x.k != y.k:
+        return f"{name} images of {x!r}, {y!r} not orthogonal"
+    return f"<{name} {x!r}, {name} {y!r}> != {norm if x is y else 0}"

@@ -87,11 +87,10 @@ def construct_sjb(n: int, q: int) -> SJB:
         raise ValueError(f"q must be prime, got {q}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    prev = _level_zero(q)
-    if n == 0:
-        return prev
-    cur = _level_one(q)
-    for m in range(1, n):
+    # F_q^0 has no nontrivial character, so level 0 also stands in for
+    # level -1 when level 1 is built
+    prev = cur = _level_zero(q)
+    for _ in range(n):
         prev, cur = cur, _next_level(cur, prev)
     return cur
 
@@ -99,17 +98,6 @@ def construct_sjb(n: int, q: int) -> SJB:
 def _level_zero(q: int) -> SJB:
     chain = JordanChain(0, (LatticeVector.basis(Subspace.zero(q, 0)),))
     return SJB(q, 0, (chain,))
-
-
-def _level_one(q: int) -> SJB:
-    chain = JordanChain(
-        0,
-        (
-            LatticeVector.basis(Subspace.zero(q, 1)),
-            LatticeVector.basis(Subspace.full(q, 1)),
-        ),
-    )
-    return SJB(q, 1, (chain,))
 
 
 def _next_level(level_n: SJB, level_n1: SJB) -> SJB:
@@ -291,14 +279,19 @@ def sjb_to_json(basis: SJB) -> dict:
 MAX_FIELD_ORDER = 1 << 16
 
 
+def check_field_order(q: int) -> None:
+    """Raise ValueError unless q is a prime below ``MAX_FIELD_ORDER``."""
+    if q >= MAX_FIELD_ORDER:
+        raise ValueError(f"q must be below {MAX_FIELD_ORDER}, got {q}")
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+
+
 def sjb_from_json(obj) -> SJB:
     """Parse a basis document; a malformed one raises ValueError."""
     try:
         q, n = json_int(obj["q"], "q"), json_int(obj["n"], "n")
-        if q >= MAX_FIELD_ORDER:
-            raise ValueError(f"q must be below {MAX_FIELD_ORDER}, got {q}")
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
+        check_field_order(q)
         chains = []
         for entry in obj["chains"]:
             vectors = []

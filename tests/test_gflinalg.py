@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qjordan import Subspace, as_fq_matrix, mu_apply, schubert_normal_form
+from qjordan import Subspace, as_fq_matrix, mu_apply
 from qjordan.gflinalg import subspaces_from_matrix_batch
 from qjordan.lattice import enumerate_all, enumerate_rank
 
@@ -35,7 +35,7 @@ def test_as_fq_matrix():
 
 def test_snf_is_fixed_point_on_identity_columns():
     mat = np.eye(4, dtype=int)[:, :2]
-    sub = schubert_normal_form(2, mat)
+    sub = Subspace.from_matrix(2, mat)
     assert np.array_equal(sub.matrix, mat)
 
 

@@ -379,7 +379,8 @@ def test_up_splitting_names_the_first_bad_subspace(monkeypatch):
 
     n, q = 2, 3
     subs = enumerate_all(n, q)
-    bad = [LatticeVector.basis(subs[i].embed(n + 1)) for i in (4, 1, 5)]
+    # U_n is doubled on these inputs, so U_(n+1) x != U_n x + theta x there
+    bad = [LatticeVector.basis(subs[i]) for i in (4, 1, 5)]
     original = haction.up_apply
 
     def doubled(v):
@@ -388,6 +389,59 @@ def test_up_splitting_names_the_first_bad_subspace(monkeypatch):
 
     monkeypatch.setattr(haction, "up_apply", doubled)
     assert _decomposition_detail(n, q, "up-splitting") == f"splitting fails on {subs[1]!r}"
+
+
+def test_zero_images_fail_the_rank_checks(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    x = enumerate_all(n, q)[3]
+    y = enumerate_all(n - 1, q)[1]
+    chi = list(characters(n, q))[2]
+    theta0, gamma0 = haction.theta, haction.gamma
+
+    def zero_theta(v):
+        return LatticeVector.zero(q, n + 1) if v == LatticeVector.basis(x) else theta0(v)
+
+    def zero_gamma(c, v):
+        hit = c == chi and v == LatticeVector.basis(y)
+        return LatticeVector.zero(q, n + 1) if hit else gamma0(c, v)
+
+    monkeypatch.setattr(haction, "theta", zero_theta)
+    checks = {c.name: c for c in verify_decomposition(n, q).checks}
+    assert not checks["dimension-count"].passed
+    assert checks["rankset-trivial-block"].detail == (
+        f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
+    )
+    assert checks["rankset-character-blocks"].passed
+
+    monkeypatch.setattr(haction, "theta", theta0)
+    monkeypatch.setattr(haction, "gamma", zero_gamma)
+    checks = {c.name: c for c in verify_decomposition(n, q).checks}
+    assert not checks["dimension-count"].passed
+    assert checks["rankset-trivial-block"].passed
+    assert checks["rankset-character-blocks"].detail == (
+        f"gamma image of {y!r} under c={chi.c} has wrong rank"
+    )
+
+
+def test_verify_decomposition_applies_up_only_below_the_top_level(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    ambients = []
+    original = haction.up_apply
+
+    def recorded(v):
+        ambients.append(v.n)
+        return original(v)
+
+    monkeypatch.setattr(haction, "up_apply", recorded)
+    assert verify_decomposition(n, q).ok
+    # one U per basis vector of B_q(n) and of B_q(n-1), none on B_q(n+1)
+    assert sorted(ambients) == [n - 1] * len(enumerate_all(n - 1, q)) + [n] * len(
+        enumerate_all(n, q)
+    )
 
 
 def test_theta_intertwining_names_the_first_bad_subspace(monkeypatch):
