@@ -20,16 +20,20 @@ from .qcombinatorics import is_prime, json_int
 _KNOWN_PRIMES: set[int] = set()
 
 
+def _check_prime(p: int) -> None:
+    if p not in _KNOWN_PRIMES:
+        if not is_prime(p):
+            raise ValueError(f"CycInt requires prime p, got {p}")
+        _KNOWN_PRIMES.add(p)
+
+
 class CycInt:
     """An element of Z[w] with w = exp(2*pi*i/p), p prime."""
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
-        if p not in _KNOWN_PRIMES:
-            if not is_prime(p):
-                raise ValueError(f"CycInt requires prime p, got {p}")
-            _KNOWN_PRIMES.add(p)
+        _check_prime(p)
         if len(coeffs) != p - 1:
             raise ValueError(f"need exactly {p - 1} coefficients for p={p}, got {len(coeffs)}")
         object.__setattr__(self, "p", p)
@@ -64,13 +68,19 @@ class CycInt:
     @classmethod
     def monomial(cls, p: int, m: int, j: int) -> CycInt:
         """The element m * w^j."""
+        _check_prime(p)
+        return cls._monomial(p, int(m), j)
+
+    @classmethod
+    def _monomial(cls, p: int, m: int, j: int) -> CycInt:
+        """m * w^j for a prime p and an int m already checked."""
         j %= p
         if j < p - 1:
             coeffs = [0] * (p - 1)
             coeffs[j] = m
-            return cls(p, tuple(coeffs))
+            return cls._raw(p, tuple(coeffs))
         # w^(p-1) = -(1 + w + ... + w^(p-2))
-        return cls(p, (-m,) * (p - 1))
+        return cls._raw(p, (-m,) * (p - 1))
 
     @classmethod
     def omega(cls, p: int, j: int = 1) -> CycInt:
@@ -83,8 +93,7 @@ class CycInt:
         The hot path of the character projections: the w^(p-1) slot folds
         into the power basis without any intermediate ring elements.
         """
-        if p not in _KNOWN_PRIMES and not is_prime(p):
-            raise ValueError(f"CycInt requires prime p, got {p}")
+        _check_prime(p)
         if len(counts) != p:
             raise ValueError(f"need {p} counts, got {len(counts)}")
         top = counts[p - 1]
@@ -265,7 +274,9 @@ class CycInt:
     def from_json(cls, p: int, obj: dict) -> CycInt:
         if "coeffs" in obj:
             return cls(p, tuple(json_int(a, "coefficient entry") for a in obj["coeffs"]))
-        return cls.monomial(p, json_int(obj["m"], "coefficient m"), json_int(obj["j"], "coefficient j"))
+        m, j = json_int(obj["m"], "coefficient m"), json_int(obj["j"], "coefficient j")
+        _check_prime(p)
+        return cls._monomial(p, m, j)
 
     def reduce_mod(self, modulus: int, zeta: int) -> int:
         """Image under Z[w] -> Z/modulus sending w to zeta (of order p)."""

@@ -15,6 +15,7 @@ sets elsewhere in the package key directly on ``Subspace`` values.  Distinct
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -22,8 +23,18 @@ from . import _kernels
 from .qcombinatorics import is_prime, json_int
 
 
+# Subspace matrices are stored as int8, so entries must lie in 0..127: a
+# larger field would wrap its entries and merge distinct subspaces.  The cap
+# also keeps trial division off a huge untrusted q.
+MAX_FIELD_ORDER = 128
+
+
 @cache
 def inv_table(q: int) -> np.ndarray:
+    """The inverse table of F_q; the one check of the field order that every
+    ``Subspace`` path makes."""
+    if q >= MAX_FIELD_ORDER:
+        raise ValueError(f"field order must be below {MAX_FIELD_ORDER}, got {q}")
     if not is_prime(q):
         raise ValueError(f"field order must be prime, got {q}")
     return _kernels.inverse_table(q)
@@ -31,6 +42,7 @@ def inv_table(q: int) -> np.ndarray:
 
 def as_fq_matrix(q: int, data, rows: int | None = None) -> np.ndarray:
     """Validate and normalize a matrix over F_q to an int8 array."""
+    inv_table(q)
     mat = np.asarray(data, dtype=np.int64)
     if mat.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {mat.shape}")
@@ -100,6 +112,9 @@ def subspaces_from_matrix_batch(q: int, mats: np.ndarray) -> list["Subspace"]:
         Subspace._make(q, n, np.ascontiguousarray(t[b, : ranks[b]].T))
         for b in range(nb)
     ]
+
+
+_INT = frozenset((int,))
 
 
 class Subspace:
@@ -293,6 +308,9 @@ class Subspace:
 
     @classmethod
     def from_json(cls, q: int, obj: dict) -> Subspace:
+        """Read stored columns.  Columns already in Schubert normal form are
+        recognised by an intern-table lookup; any others are reduced, so
+        imported data is never trusted to be normal form."""
         n, k = json_int(obj["n"], "subspace n"), json_int(obj["k"], "subspace k")
         cols = obj["cols"]
         if len(cols) != k:
@@ -301,17 +319,28 @@ class Subspace:
             if len(col) != n:
                 raise ValueError(f"column {j} has length {len(col)}, ambient is {n}")
             # exact types, as json_int reads them: no float, str or bool
-            if not set(map(type, col)) <= {int}:
+            if not _INT.issuperset(map(type, col)):
                 raise ValueError(f"column {j} must hold integers, got {col!r}")
+        # the entries row-major, the order of the intern key's bytes (a list:
+        # a tuple built from an iterator would be resized and then parked in
+        # the free list of its final size, one per term)
+        entries = list(chain.from_iterable(zip(*cols)))
+        residues = not entries or (min(entries) >= 0 and max(entries) < q)
+        if residues and q < MAX_FIELD_ORDER:
+            # only _make fills the table, and only with normal forms over
+            # fields below the cap (whose residues fit the key's bytes), so a
+            # hit on the stored entries proves the columns canonical
+            hit = cls._interned.get((q, n, k, bytes(entries)))
+            if hit is not None:
+                return hit
         m = np.zeros((n, k), dtype=np.int64)
         for j, col in enumerate(cols):
             m[:, j] = col
-        # re-canonicalize: imported data is never trusted to be normal form
         sub = cls.from_matrix(q, m)
         if sub.k != k:
             raise ValueError(f"the {k} columns span a subspace of dimension {sub.k}")
         # from_matrix reads entries mod q; a stored entry must be a residue
-        if not all(0 <= min(col) and max(col) < q for col in cols):
+        if not residues:
             raise ValueError(f"column entries must lie in 0..{q - 1}, got {cols!r}")
         return sub
 

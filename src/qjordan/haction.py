@@ -383,11 +383,10 @@ def verify_decomposition(n: int, q: int) -> Report:
     checks.append(Check("gamma-intertwining", not bad, bad))
 
     # orthogonality across blocks, in the order of a pairwise scan: each
-    # theta image against its own embedded subspace and then every gamma
-    # image; each gamma image against the embedded lattice and then the
-    # later gamma images of other characters; columns are the nt embedded
+    # theta or gamma image against the whole embedded lattice, then a theta
+    # image against every gamma image and a gamma image against the later
+    # gamma images of other characters; columns are the nt embedded
     # subspaces and then the outside images, of which only gamma ones can hit
-    meets[:nt] &= np.eye(nt, dtype=bool)
     hit = _first_true(np.concatenate([meets, np.triu(miss & ~same)], axis=1))
     bad = ""
     if hit is not None:

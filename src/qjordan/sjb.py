@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gflinalg import Subspace
+from .gflinalg import MAX_FIELD_ORDER, Subspace
 from .haction import characters, gamma, theta
 from .lattice import LatticeVector, gram, inner, up_mismatches
 from .qcombinatorics import galois_number, is_prime, json_int, q_binomial, q_int
@@ -273,14 +273,10 @@ def sjb_to_json(basis: SJB) -> dict:
     }
 
 
-# A Z[w] coefficient holds q - 1 Python ints, so no basis for a larger field
-# can be built or stored; the cap also keeps trial division off a huge
-# untrusted q, which would take time growing like sqrt(q).
-MAX_FIELD_ORDER = 1 << 16
-
-
 def check_field_order(q: int) -> None:
-    """Raise ValueError unless q is a prime below ``MAX_FIELD_ORDER``."""
+    """Raise ValueError unless q is a prime below ``MAX_FIELD_ORDER``, the
+    largest field whose subspaces the int8 matrices of ``Subspace`` keep
+    apart."""
     if q >= MAX_FIELD_ORDER:
         raise ValueError(f"q must be below {MAX_FIELD_ORDER}, got {q}")
     if not is_prime(q):

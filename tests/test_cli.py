@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qjordan import construct_sjb, sjb_to_json
+from qjordan import construct_sjb, sjb_from_json, sjb_to_json
 from qjordan.cli import main
 
 
@@ -248,3 +248,27 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         assert code == 2, path.name
         assert out == "" and "Traceback" not in err, path.name
         assert err.count("\n") == 1 and err.startswith("error: "), (path.name, err)
+
+
+def test_field_order_above_the_int8_cap_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "basis.json"
+    code, out, err = run_cli(capsys, "construct", "--q", "131", "--n", "2", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == "error: q must be below 128, got 131\n"
+    assert not out_path.exists()
+
+
+def test_largest_field_round_trips_through_a_basis_file(tmp_path, capsys):
+    # entries up to 126 are stored and read back unchanged; the verify
+    # command's Gram matrices take (q-1)^2 plane products, far too slow at
+    # q = 127 for this suite, so the file is read with the parser it uses
+    path = tmp_path / "basis.json"
+    code, _, _ = run_cli(
+        capsys, "construct", "--q", "127", "--n", "2", "--verify", "none", "--out", str(path)
+    )
+    assert code == 0
+    text = path.read_text(encoding="utf-8")
+    assert "[1,126]" in text
+    loaded = sjb_from_json(json.loads(text))
+    basis = construct_sjb(2, 127)
+    assert [c.vectors for c in loaded.chains] == [c.vectors for c in basis.chains]

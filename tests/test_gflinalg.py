@@ -5,9 +5,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjordan import Subspace, as_fq_matrix, mu_apply
-from qjordan.gflinalg import subspaces_from_matrix_batch
+from qjordan.gflinalg import MAX_FIELD_ORDER, subspaces_from_matrix_batch
 from qjordan.lattice import enumerate_all, enumerate_rank
 
 
@@ -226,6 +228,94 @@ def test_from_json_rejects_dependent_columns():
         with pytest.raises(ValueError, match="dimension"):
             Subspace.from_json(q, obj)
     assert Subspace.from_json(3, {"n": 3, "k": 0, "cols": []}) is Subspace.zero(3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_from_json_reduces_columns_that_are_not_canonical(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    sub = data.draw(st.sampled_from(enumerate_rank(n, k, q)))
+    cols = [[int(x) for x in sub.matrix[:, j]] for j in range(k)]
+    j = data.draw(st.integers(0, k - 1))
+    edit = data.draw(st.sampled_from(["scale", "swap", "add"]))
+    if edit == "scale":
+        s = data.draw(st.integers(1, q - 1))
+        cols[j] = [s * x % q for x in cols[j]]
+    elif k > 1:
+        i = data.draw(st.integers(0, k - 1).filter(lambda i: i != j))
+        if edit == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        else:
+            cols[i] = [(x + y) % q for x, y in zip(cols[i], cols[j])]
+    stored = np.array(cols, dtype=np.int64).reshape(k, n).T
+    expect = Subspace.from_matrix(q, stored)
+    assert expect is sub
+    assert Subspace.from_json(q, {"n": n, "k": k, "cols": cols}) is expect
+
+
+# each malformed subspace with the message it has always raised; the
+# canonical subspaces of these ambients are interned first, so an input that
+# reached the intern-table lookup too early would parse instead of failing
+MALFORMED_SUBSPACES = [
+    (3, {"n": 0, "k": 1, "cols": [[]]}, "the 1 columns span a subspace of dimension 0"),
+    # the dimension fault is named before the range fault
+    (2, {"n": 2, "k": 2, "cols": [[1, 1], [3, 3]]}, "the 2 columns span a subspace of dimension 1"),
+    (2, {"n": 1, "k": 1, "cols": [[True]]}, "column 0 must hold integers, got [True]"),
+    (3, {"n": 2, "k": 1, "cols": [[1, True]]}, "column 0 must hold integers, got [1, True]"),
+    (2, {"n": 1, "k": 1, "cols": [[1.0]]}, "column 0 must hold integers, got [1.0]"),
+    (3, {"n": 2, "k": 1, "cols": [[1.0, 0]]}, "column 0 must hold integers, got [1.0, 0]"),
+    (3, {"n": 2, "k": 2, "cols": [[1, "0"], [0]]}, "column 0 must hold integers, got [1, '0']"),
+    (3, {"n": 2, "k": 1, "cols": [[1, 3]]}, "column entries must lie in 0..2, got [[1, 3]]"),
+    (3, {"n": 2, "k": 1, "cols": [[4, 0]]}, "column entries must lie in 0..2, got [[4, 0]]"),
+    (3, {"n": 2, "k": 1, "cols": [[1, -2]]}, "column entries must lie in 0..2, got [[1, -2]]"),
+    (3, {"n": 3, "k": 1, "cols": [[1, 0]]}, "column 0 has length 2, ambient is 3"),
+    (3, {"n": 2, "k": 2, "cols": [[1, 0]]}, "expected 2 columns, got 1"),
+    (3, {"n": True, "k": 1, "cols": [[1]]}, "subspace n must be an integer, got True"),
+    (3, {"n": 1, "k": 1.0, "cols": [[1]]}, "subspace k must be an integer, got 1.0"),
+    (3, {"n": 2, "k": 2, "cols": [[1, 0], [1, 0]]}, "the 2 columns span a subspace of dimension 1"),
+    (3, {"n": 2, "k": 1, "cols": [[0, 0]]}, "the 1 columns span a subspace of dimension 0"),
+    (4, {"n": 2, "k": 1, "cols": [[1, 0]]}, "field order must be prime, got 4"),
+    (131, {"n": 2, "k": 1, "cols": [[1, 0]]}, "field order must be below 128, got 131"),
+]
+
+
+@pytest.mark.parametrize("q, obj, message", MALFORMED_SUBSPACES)
+def test_from_json_names_each_fault(q, obj, message):
+    for field in (2, 3):
+        for n in range(4):
+            enumerate_all(n, field)
+    with pytest.raises(ValueError) as exc:
+        Subspace.from_json(q, obj)
+    assert str(exc.value) == message
+
+
+def test_field_order_is_capped_where_entries_fit_int8():
+    assert MAX_FIELD_ORDER == 128
+    with pytest.raises(ValueError, match="below 128"):
+        Subspace.from_matrix(257, [[1], [256]])
+    with pytest.raises(ValueError, match="below 128"):
+        Subspace.from_matrix(257, [[1], [0]])
+    with pytest.raises(ValueError, match="below 128"):
+        as_fq_matrix(131, [[1, 130]])
+    # the largest field keeps its residues apart
+    top = Subspace.from_matrix(127, [[1], [126]])
+    assert top is not Subspace.from_matrix(127, [[1], [0]])
+    assert Subspace.from_json(127, top.to_json()) is top
+    assert top.to_json()["cols"] == [[1, 126]]
+
+
+def test_intern_table_holds_only_normal_forms():
+    # the recognition in from_json rests on this: every interned matrix
+    # is its own Schubert normal form
+    for q in (2, 3):
+        enumerate_all(3, q)
+        Subspace.full(q, 3).hat().embed(5).restrict(4)
+    for sub in list(Subspace._interned.values()):
+        if sub.k:
+            redo = subspaces_from_matrix_batch(sub.q, sub.matrix.astype(np.int64)[None])[0]
+            assert redo is sub
 
 
 def test_sort_key_orders_enumeration():

@@ -500,3 +500,22 @@ def test_characters_per_hyperplane_names_the_first_bad_hyperplane(monkeypatch):
     assert _decomposition_detail(n, q, "characters-per-hyperplane") == (
         f"{hyperplanes[1]!r} survives for {q**n - 1} characters, expected {q - 1}"
     )
+
+
+def test_block_orthogonality_tests_theta_rows_against_the_whole_lattice(monkeypatch):
+    import qjordan.haction as haction
+
+    n, q = 2, 3
+    zero = Subspace.zero(q, n)
+    stray = LatticeVector.basis(enumerate_rank(n, 1, q)[2].embed(n + 1))
+    original = haction.theta
+
+    def leaky(v):
+        # the image of the zero subspace gains a term on another embedded line
+        image = original(v)
+        return image + stray if v == LatticeVector.basis(zero) else image
+
+    monkeypatch.setattr(haction, "theta", leaky)
+    assert _decomposition_detail(n, q, "block-orthogonality") == (
+        f"theta image of {zero!r} meets the embedded lattice"
+    )

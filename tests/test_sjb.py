@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,67 @@ def test_json_roundtrip_and_determinism():
         assert a.start_rank == b.start_rank
         assert a.vectors == b.vectors
     assert verify_sjb(loaded).ok
+
+
+# counts the canonicalizations one parse makes, in a fresh interpreter whose
+# intern table starts empty
+COUNT_CANONICALIZATIONS = """
+import json, sys
+import qjordan.gflinalg as gflinalg
+from qjordan import sjb_from_json
+
+calls = 0
+batch = gflinalg.subspaces_from_matrix_batch
+
+def counted(q, mats):
+    global calls
+    calls += 1
+    return batch(q, mats)
+
+gflinalg.subspaces_from_matrix_batch = counted
+with open(sys.argv[1], encoding="utf-8") as fh:
+    basis = sjb_from_json(json.load(fh))
+print(calls, sum(len(vec) for _, _, vec in basis.iter_vectors()))
+"""
+
+
+def test_parsing_canonicalizes_each_distinct_subspace_once(tmp_path, basis_for):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(sjb_to_json(basis_for(3, 4))), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_CANONICALIZATIONS, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    calls, terms = map(int, out.stdout.split())
+    # 6,618 stored terms name only the 212 subspaces of F_3^4
+    assert terms == 6618
+    assert 0 < calls <= galois_number(4, 3) == 212
+
+
+def test_noncanonical_columns_parse_to_the_same_basis():
+    basis = construct_sjb(3, 3)
+    payload = sjb_to_json(basis)
+    for chain in payload["chains"]:
+        for vector in chain["vectors"]:
+            for term in vector["terms"]:
+                cols = term["subspace"]["cols"]
+                # twice each column, then the columns reversed: the same span
+                cols[:] = [[2 * x % 3 for x in col] for col in reversed(cols)]
+    loaded = sjb_from_json(payload)
+    assert [c.vectors for c in loaded.chains] == [c.vectors for c in basis.chains]
+    # a bool entry is never read as the int it equals, canonical or not
+    line = payload["chains"][0]["vectors"][1]["terms"][0]["subspace"]
+    line["cols"] = [[True, 0, 0]]
+    with pytest.raises(ValueError) as exc:
+        sjb_from_json(payload)
+    assert str(exc.value) == "column 0 must hold integers, got [True, 0, 0]"
 
 
 def tamper(payload, chain_idx=0, vector_idx=0, term_idx=0):
