@@ -36,8 +36,8 @@ class CycInt:
         _check_prime(p)
         if len(coeffs) != p - 1:
             raise ValueError(f"need exactly {p - 1} coefficients for p={p}, got {len(coeffs)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in coeffs))
+        _set_p(self, p)
+        _set_coeffs(self, tuple(int(a) for a in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
@@ -45,10 +45,11 @@ class CycInt:
     @classmethod
     def _raw(cls, p: int, coeffs: tuple[int, ...]) -> CycInt:
         """Internal constructor for arithmetic results whose invariants hold
-        by construction; skips the validation of the public one."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
+        by construction; skips the validation of the public one and fills
+        the slots through their descriptors, past ``__setattr__``."""
+        self = _new(cls)
+        _set_p(self, p)
+        _set_coeffs(self, coeffs)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -96,8 +97,8 @@ class CycInt:
         _check_prime(p)
         if len(counts) != p:
             raise ValueError(f"need {p} counts, got {len(counts)}")
-        top = counts[p - 1]
-        return cls._raw(p, tuple(int(counts[j]) - top for j in range(p - 1)))
+        top = int(counts[p - 1])
+        return cls._raw(p, tuple([int(c) - top for c in counts[: p - 1]]))
 
     # -- ring structure ----------------------------------------------------
 
@@ -135,23 +136,25 @@ class CycInt:
         return CycInt._raw(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        # the hot case (theta, gamma and the inner product) skips _coerce
+        o = other if type(other) is CycInt and other.p == self.p else self._coerce(other)
         if o is None:
             return NotImplemented
         p = self.p
+        if p == 2:  # Z[w] = Z
+            return CycInt._raw(2, (self.coeffs[0] * o.coeffs[0],))
         # accumulate with exponents folded mod p (w^p = 1), then eliminate
         # the w^(p-1) slot via w^(p-1) = -(1 + w + ... + w^(p-2))
         acc = [0] * p
+        right = [(j, b) for j, b in enumerate(o.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
+            if a:
+                for j, b in right:
                     acc[(i + j) % p] += a * b
-        top = acc[p - 1]
+        top = acc.pop()
         if top:
-            return CycInt._raw(p, tuple(acc[j] - top for j in range(p - 1)))
-        return CycInt._raw(p, tuple(acc[: p - 1]))
+            return CycInt._raw(p, tuple([a - top for a in acc]))
+        return CycInt._raw(p, tuple(acc))
 
     __rmul__ = __mul__
 
@@ -265,10 +268,16 @@ class CycInt:
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:
+        coeffs = self.coeffs
+        if coeffs.count(0) >= len(coeffs) - 1:
+            # zero or a single nonzero slot, which then holds the sum; the
+            # first slot holding it is j (zero gives m = j = 0)
+            j = coeffs.index(sum(coeffs))
+            return {"m": coeffs[j], "j": j}
         mono = self.as_monomial()
         if mono is not None:
             return {"m": mono[0], "j": mono[1]}
-        return {"coeffs": list(self.coeffs)}
+        return {"coeffs": list(coeffs)}
 
     @classmethod
     def from_json(cls, p: int, obj: dict) -> CycInt:
@@ -277,10 +286,6 @@ class CycInt:
         m, j = json_int(obj["m"], "coefficient m"), json_int(obj["j"], "coefficient j")
         _check_prime(p)
         return cls._monomial(p, m, j)
-
-    def reduce_mod(self, modulus: int, zeta: int) -> int:
-        """Image under Z[w] -> Z/modulus sending w to zeta (of order p)."""
-        return sum(a * pow(zeta, j, modulus) for j, a in enumerate(self.coeffs)) % modulus
 
     def __repr__(self) -> str:
         return f"CycInt(p={self.p}, {self.coeffs})"
@@ -305,41 +310,9 @@ class CycInt:
         return s[1:] if s.startswith("+") else s
 
 
-def cyc_matrix_rank(rows: list[list[CycInt]]) -> int:
-    """Exact rank of a matrix over the fraction field of Z[w].
 
-    Fraction-free Bareiss elimination; the intermediate exact divisions stay
-    in Z[w] by the Sylvester determinant identity.
-    """
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = None
-    for _step in range(min(nr, nc)):
-        # find a nonzero pivot anywhere in the remaining block
-        pr = pc = -1
-        for i in range(rank, nr):
-            for j in range(rank, nc):
-                if not m[i][j].is_zero:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        if pr != rank:
-            m[rank], m[pr] = m[pr], m[rank]
-        if pc != rank:
-            for r in m:
-                r[rank], r[pc] = r[pc], r[rank]
-        piv = m[rank][rank]
-        for i in range(rank + 1, nr):
-            for j in range(rank + 1, nc):
-                t = m[i][j] * piv - m[i][rank] * m[rank][j]
-                m[i][j] = t if prev is None else t.divexact(prev)
-            m[i][rank] = CycInt.zero(piv.p)
-        prev = piv
-        rank += 1
-    return rank
+# the slots' own descriptors: the constructors fill a new value through them,
+# past the __setattr__ that keeps values immutable
+_new = object.__new__
+_set_p = CycInt.p.__set__
+_set_coeffs = CycInt.coeffs.__set__

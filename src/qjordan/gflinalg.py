@@ -300,10 +300,13 @@ class Subspace:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
+        # one numpy call reads the entries as Python ints; every payload gets
+        # fresh column lists, since callers may edit them
+        rows = self._mat.tolist()
         return {
             "n": self.n,
             "k": self.k,
-            "cols": [[int(x) for x in self._mat[:, j]] for j in range(self.k)],
+            "cols": [[row[j] for row in rows] for j in range(self.k)],
         }
 
     @classmethod

@@ -164,16 +164,11 @@ def p_chi(chi: Character, x: Subspace) -> LatticeVector:
         raise ValueError(f"x lives in ambient {x.n}, character wants {chi.n + 1}")
     table = orbit_table(x)
     q = x.q
-    exps = _char_exponents(q, chi.c)
     hist = [[0] * q for _ in table.orbit]
-    for g, idx in enumerate(table.group_index):
-        hist[idx][-exps[g] % q] += 1
-    terms = {}
-    for sub, counts in zip(table.orbit, hist):
-        coeff = CycInt.from_root_counts(q, counts)
-        if not coeff.is_zero:
-            terms[sub] = coeff
-    return LatticeVector(q, x.n, terms)
+    for idx, e in zip(table.group_index, _char_exponents(q, chi.c)):
+        hist[idx][-e % q] += 1
+    coeffs = [CycInt.from_root_counts(q, counts) for counts in hist]
+    return LatticeVector._of(q, x.n, dict(zip(table.orbit, coeffs)))
 
 
 def theta(v: LatticeVector) -> LatticeVector:
@@ -184,7 +179,7 @@ def theta(v: LatticeVector) -> LatticeVector:
     intertwines q*U_n with U_(n+1).
     """
     images = ((img, coeff) for sub, coeff in v.items() for img in orbit_table(sub.hat()).orbit)
-    return LatticeVector(v.q, v.n + 1, _accumulate(images))
+    return LatticeVector._of(v.q, v.n + 1, _accumulate(images))
 
 
 @cache
@@ -234,7 +229,7 @@ def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
         for sub, coeff in v.items()
         for img, c in p_chi(chi, _mu_hat(hyper, sub)).items()
     )
-    return LatticeVector(v.q, n + 1, _accumulate(images))
+    return LatticeVector._of(v.q, n + 1, _accumulate(images))
 
 
 @cache

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -123,6 +124,19 @@ class LatticeVector:
                 clean[sub] = coeff
         self._terms = clean
 
+    @classmethod
+    def _of(cls, q: int, n: int, terms: dict[Subspace, CycInt]) -> LatticeVector:
+        """Internal constructor for vectors the package builds from parts it
+        has already checked (same-ambient subspaces, CycInt coefficients of
+        prime q): keeps the nonzero coefficients and checks nothing else.
+        The vector takes ``terms`` over, so callers pass a dict of their own."""
+        v = object.__new__(cls)
+        v.q, v.n = q, n
+        if not all(map(any, map(_coeffs, terms.values()))):
+            terms = {sub: c for sub, c in terms.items() if any(c.coeffs)}
+        v._terms = terms
+        return v
+
     def _as_coeff(self, value) -> CycInt:
         if isinstance(value, CycInt):
             if value.p != self.q:
@@ -155,31 +169,22 @@ class LatticeVector:
         terms = dict(self._terms)
         for sub, coeff in other._terms.items():
             cur = terms.get(sub)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero:
-                terms.pop(sub, None)
-            else:
-                terms[sub] = new
-        return self._wrap(terms)
+            terms[sub] = coeff if cur is None else cur + coeff
+        return LatticeVector._of(self.q, self.n, terms)
 
     def __sub__(self, other: LatticeVector) -> LatticeVector:
         return self + (-other)
 
     def __neg__(self) -> LatticeVector:
-        return self._wrap({s: -c for s, c in self._terms.items()})
+        return LatticeVector._of(self.q, self.n, {s: -c for s, c in self._terms.items()})
 
     def __mul__(self, scalar) -> LatticeVector:
         coeff = self._as_coeff(scalar)
         if coeff.is_zero:
             return LatticeVector.zero(self.q, self.n)
-        return self._wrap({s: c * coeff for s, c in self._terms.items()})
+        return LatticeVector._of(self.q, self.n, {s: c * coeff for s, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def _wrap(self, terms: dict[Subspace, CycInt]) -> LatticeVector:
-        v = object.__new__(LatticeVector)
-        v.q, v.n, v._terms = self.q, self.n, terms
-        return v
 
     def __eq__(self, other) -> bool:
         return (
@@ -228,7 +233,7 @@ class LatticeVector:
     def embed(self, ambient: int) -> LatticeVector:
         if ambient == self.n:
             return self
-        return LatticeVector(
+        return LatticeVector._of(
             self.q, ambient, {s.embed(ambient): c for s, c in self._terms.items()}
         )
 
@@ -240,12 +245,13 @@ class LatticeVector:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        terms = self._terms
         return {
             "n": self.n,
             "q": self.q,
             "terms": [
-                {"subspace": s.to_json(), "coeff": c.to_json()}
-                for s, c in self.sorted_items()
+                {"subspace": s.to_json(), "coeff": terms[s].to_json()}
+                for s in sorted(terms, key=Subspace.sort_key)
             ],
         }
 
@@ -268,7 +274,7 @@ def _accumulate(pairs: Iterable[tuple[Hashable, CycInt]]) -> dict:
     The one sum behind every linear map given by the images of basis
     subspaces (U, theta, gamma, the A_i).  A key met once keeps its value
     unchanged, with no add against a zero; a sum that cancels stays in the
-    result as zero, and ``LatticeVector`` drops it.
+    result as zero, and ``LatticeVector._of`` drops it.
     """
     acc: dict = {}
     for key, value in pairs:
@@ -280,7 +286,7 @@ def _accumulate(pairs: Iterable[tuple[Hashable, CycInt]]) -> dict:
 def up_apply(v: LatticeVector) -> LatticeVector:
     """Linear extension of x -> sum of the subspaces covering x."""
     images = ((cover, coeff) for sub, coeff in v.items() for cover in covers_of(sub))
-    return LatticeVector(v.q, v.n, _accumulate(images))
+    return LatticeVector._of(v.q, v.n, _accumulate(images))
 
 
 def inner(v: LatticeVector, w: LatticeVector) -> CycInt:
@@ -401,6 +407,7 @@ def up_mismatches(
     return out
 
 
+_coeffs = attrgetter("coeffs")
 _INT64_LIMIT = 1 << 63
 _GRAM_BLOCK = 1 << 13  # left-plane entries per block of rows
 _UP_BLOCK = 1 << 16  # plane entries per block of rows in up_mismatches

@@ -90,7 +90,7 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
         for sub, coeff in v.items()
         for x in np.flatnonzero(rel[index_of[sub]] == i).tolist()
     )
-    return LatticeVector(v.q, n, {vertices[x]: acc[x] for x in sorted(acc)})
+    return LatticeVector._of(v.q, n, {vertices[x]: acc[x] for x in sorted(acc)})
 
 
 def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:

@@ -2,15 +2,56 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from qjordan import CycInt, cyc_matrix_rank
+from qjordan import CycInt
 
 PRIMES = (2, 3, 5)
 
 
 def random_element(rng, p, bound=30):
     return CycInt(p, tuple(rng.randint(-bound, bound) for _ in range(p - 1)))
+
+
+def cyc_matrix_rank(rows: list[list[CycInt]]) -> int:
+    """Exact rank of a matrix over the fraction field of Z[w].
+
+    Fraction-free Bareiss elimination; the intermediate exact divisions stay
+    in Z[w] by the Sylvester determinant identity.
+    """
+    if not rows:
+        return 0
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    prev = None
+    for _step in range(min(nr, nc)):
+        # find a nonzero pivot anywhere in the remaining block
+        pr = pc = -1
+        for i in range(rank, nr):
+            for j in range(rank, nc):
+                if not m[i][j].is_zero:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        if pr != rank:
+            m[rank], m[pr] = m[pr], m[rank]
+        if pc != rank:
+            for r in m:
+                r[rank], r[pc] = r[pc], r[rank]
+        piv = m[rank][rank]
+        for i in range(rank + 1, nr):
+            for j in range(rank + 1, nc):
+                t = m[i][j] * piv - m[i][rank] * m[rank][j]
+                m[i][j] = t if prev is None else t.divexact(prev)
+            m[i][rank] = CycInt.zero(piv.p)
+        prev = piv
+        rank += 1
+    return rank
 
 
 def test_omega_squared_p3():
@@ -132,6 +173,10 @@ def test_mixed_prime_rejected():
     with pytest.raises(ValueError):
         CycInt.one(5) + CycInt.one(3)
     with pytest.raises(ValueError):
+        CycInt.omega(3) * CycInt.one(5)
+    with pytest.raises(ValueError):
+        CycInt.one(2) * CycInt.omega(3)
+    with pytest.raises(ValueError):
         CycInt(4, (1, 1, 1))
 
 
@@ -147,6 +192,70 @@ def test_json_roundtrip():
     assert messy.to_json() == {"coeffs": [1, 2]}
 
 
+def reference_to_json(a):
+    """The serialization read off ``as_monomial``: the format's definition."""
+    p = a.p
+    nz = [j for j, c in enumerate(a.coeffs) if c]
+    if not nz:
+        return {"m": 0, "j": 0}
+    if len(nz) == 1:
+        return {"m": a.coeffs[nz[0]], "j": nz[0]}
+    if len(nz) == p - 1 and len(set(a.coeffs)) == 1:
+        return {"m": -a.coeffs[0], "j": p - 1}
+    return {"coeffs": list(a.coeffs)}
+
+
+def test_to_json_forms():
+    cases = {
+        CycInt.zero(5): {"m": 0, "j": 0},
+        CycInt.zero(2): {"m": 0, "j": 0},
+        CycInt.from_int(2, -7): {"m": -7, "j": 0},
+        CycInt.monomial(2, 3, 1): {"m": -3, "j": 0},
+        CycInt(5, (0, 0, -4, 0)): {"m": -4, "j": 2},
+        CycInt(7, (0, 0, 0, 0, 0, 9)): {"m": 9, "j": 5},
+        CycInt.monomial(5, 6, 4): {"m": 6, "j": 4},  # (-6, -6, -6, -6)
+        CycInt(3, (2, 2)): {"m": -2, "j": 2},
+        CycInt(3, (1, -1)): {"coeffs": [1, -1]},
+        CycInt(5, (2, 2, 2, 0)): {"coeffs": [2, 2, 2, 0]},
+        CycInt(5, (1, 0, 1, 0)): {"coeffs": [1, 0, 1, 0]},
+    }
+    for a, expect in cases.items():
+        assert a.to_json() == reference_to_json(a) == expect, a
+    rng = random.Random(11)
+    for p in PRIMES + (7,):
+        for _ in range(200):
+            a = CycInt(p, tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(p - 1)))
+            assert a.to_json() == reference_to_json(a)
+            assert type(a.to_json().get("m", 0)) is int
+
+
+def test_from_root_counts_folds_the_top_slot_to_exact_ints():
+    assert CycInt.from_root_counts(5, [3, 1, 4, 1, 5]) == CycInt(5, (-2, -4, -1, -4))
+    assert CycInt.from_root_counts(2, (7, 2)) == CycInt.from_int(2, 5)
+    # numpy counts still give Python ints, so the arithmetic stays exact
+    got = CycInt.from_root_counts(3, np.array([1, 2, 3], dtype=np.int64))
+    assert got.coeffs == (-2, -1) and all(type(a) is int for a in got.coeffs)
+    with pytest.raises(ValueError):
+        CycInt.from_root_counts(3, (1, 2))
+    with pytest.raises(ValueError):
+        CycInt.from_root_counts(4, (1, 2, 3, 4))
+
+
+def test_results_are_immutable():
+    w = CycInt.omega(5)
+    results = [
+        w + w, w - 1, -w, w * w, w * 3, w.conj(), w.galois(2),
+        CycInt.from_root_counts(5, (1, 0, 2, 0, 0)), CycInt.monomial(5, 2, 4),
+    ]
+    for r in results:
+        for name in ("p", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, getattr(r, name))
+        with pytest.raises(AttributeError):
+            r.other = 1
+    assert w == CycInt(5, (0, 1, 0, 0))
+
+
 def test_int_coercion_in_arithmetic():
     w = CycInt.omega(3)
     assert 2 * w == CycInt.monomial(3, 2, 1)
@@ -155,6 +264,10 @@ def test_int_coercion_in_arithmetic():
         w + 1.5
     with pytest.raises(TypeError):
         1.5 + w
+    with pytest.raises(TypeError):
+        w * 1.5
+    with pytest.raises(TypeError):
+        1.5 * w
     assert 1 - w == CycInt(3, (1, -1))
 
 

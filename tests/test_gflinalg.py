@@ -218,6 +218,24 @@ def test_json_roundtrip_recanonicalizes():
     assert span_set(loaded) == span_set(sub)
 
 
+def test_to_json_gives_fresh_exact_int_columns():
+    for q, n in ((2, 4), (3, 3), (5, 2)):
+        for sub in enumerate_all(n, q):
+            payload = sub.to_json()
+            assert payload["n"] == n and payload["k"] == sub.k
+            assert payload["cols"] == sub.matrix.T.tolist()
+            assert all(type(x) is int for col in payload["cols"] for x in col)
+    sub = Subspace.span(3, 3, [(1, 2, 0), (0, 1, 1)])
+    first = sub.to_json()
+    first["cols"][0][1] = 7
+    first["cols"].append([0, 0, 1])
+    second = sub.to_json()
+    assert second == {"n": 3, "k": 2, "cols": [[1, 0, 1], [0, 1, 1]]}
+    assert second["cols"][0] is not first["cols"][0]
+    assert sub.matrix.tolist() == [[1, 0], [0, 1], [1, 1]]
+    assert Subspace.from_json(3, second) is sub
+
+
 def test_from_json_rejects_dependent_columns():
     for obj in (
         {"n": 3, "k": 1, "cols": [[0, 0, 0]]},

@@ -10,6 +10,7 @@ from qjordan import (
     LatticeVector,
     Subspace,
     act,
+    adjacency_apply,
     characters,
     enumerate_all,
     enumerate_rank,
@@ -519,3 +520,52 @@ def test_block_orthogonality_tests_theta_rows_against_the_whole_lattice(monkeypa
     assert _decomposition_detail(n, q, "block-orthogonality") == (
         f"theta image of {zero!r} meets the embedded lattice"
     )
+
+
+@st.composite
+def package_made_cases(draw):
+    """A small lattice with a character, vectors of B_q(n-1), B_q(n) and of
+    rank m in B_q(n), and a subspace of F_q^(n+1) outside the hyperplane.
+    Coefficients are small elements of Z[w], so sums often cancel."""
+    q, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]))
+    chi = draw(st.sampled_from(list(characters(n, q))))
+    coeff = st.lists(st.integers(-2, 2), min_size=q - 1, max_size=q - 1)
+
+    def vector(ambient, subs):
+        chosen = draw(st.lists(st.sampled_from(subs), min_size=1, max_size=6, unique=True))
+        return LatticeVector(q, ambient, {s: CycInt(q, tuple(draw(coeff))) for s in chosen})
+
+    m = draw(st.integers(0, n // 2))
+    return (
+        chi,
+        vector(n - 1, enumerate_all(n - 1, q)),
+        vector(n, enumerate_all(n, q)),
+        m,
+        vector(n, enumerate_rank(n, m, q)),
+        draw(st.sampled_from(A_elements(n + 1, q))),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(package_made_cases())
+def test_package_made_vectors_pass_the_public_checks(case):
+    chi, u, v, m, w, x = case
+    n, q = v.n, v.q
+    results = [p_chi(chi, x), theta(v), gamma(chi, u), up_apply(v)]
+    results += [adjacency_apply(n, m, i, w) for i in range(m + 1)]
+    for r in results:
+        assert r == LatticeVector(q, r.n, dict(r.items()))
+        assert not any(c.is_zero for _, c in r.items())
+
+
+def test_package_made_vectors_drop_cancelled_sums():
+    a, b, c = enumerate_rank(2, 1, 2)
+    diff = LatticeVector.basis(a) - LatticeVector.basis(b)
+    # both lines lie under the whole plane, and each is adjacent to c
+    assert up_apply(diff).is_zero and len(up_apply(diff)) == 0
+    image = adjacency_apply(2, 1, 1, diff)
+    assert c not in image.support()
+    assert image == LatticeVector.basis(b) - LatticeVector.basis(a)
+    # a character that is nontrivial on the stabilizer projects to zero
+    full = Subspace.full(2, 3)
+    assert all(p_chi(chi, full).is_zero for chi in characters(2, 2))

@@ -175,6 +175,20 @@ def test_zero_coefficients_dropped():
     assert w.is_zero
 
 
+def test_public_constructor_validates_every_term():
+    line = Subspace.span(3, 2, [(1, 1)])
+    with pytest.raises(ValueError, match="does not live"):
+        LatticeVector(3, 3, {line: 1})
+    with pytest.raises(ValueError, match="does not live"):
+        LatticeVector(2, 2, {Subspace.span(2, 2, [(1, 1)]): 1, line: 1})
+    with pytest.raises(ValueError, match="prime"):
+        LatticeVector(3, 2, {line: CycInt.one(5)})
+    for bad in (1.5, "1", None, (1, 0)):
+        with pytest.raises(TypeError):
+            LatticeVector(3, 2, {line: bad})
+    assert LatticeVector(3, 2, {line: 2}).coeff(line) == CycInt.from_int(3, 2)
+
+
 @st.composite
 def vector_lists(draw):
     """Two lists of vectors with arbitrary (often non-monomial) coefficients

@@ -1,6 +1,7 @@
 """Construction and verification of the symmetric Jordan bases."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ from qjordan import (
     LatticeVector,
     Subspace,
     construct_sjb,
-    cyc_matrix_rank,
     enumerate_rank,
     galois_number,
     inner,
@@ -33,6 +33,7 @@ from qjordan import (
 )
 
 from modp import modp_rank
+from test_cyclotomic import cyc_matrix_rank
 
 MODULUS = 2_013_265_921  # prime; 2, 3 and 5 all divide MODULUS - 1
 
@@ -41,6 +42,12 @@ def root_of_unity(p):
     zeta = pow(31, (MODULUS - 1) // p, MODULUS)
     assert pow(zeta, p, MODULUS) == 1 and zeta != 1
     return zeta
+
+
+def reduce_mod(coeff, modulus, zeta):
+    """Image of a Z[w] element under Z[w] -> Z/modulus sending w to zeta
+    (of order p)."""
+    return sum(a * pow(zeta, j, modulus) for j, a in enumerate(coeff.coeffs)) % modulus
 
 
 def slice_spans_mod(basis, m):
@@ -56,7 +63,7 @@ def slice_spans_mod(basis, m):
     mat = np.zeros((len(vectors), len(verts)), dtype=np.int64)
     for r, vec in enumerate(vectors):
         for sub, coeff in vec.items():
-            mat[r, index[sub]] = coeff.reduce_mod(MODULUS, zeta)
+            mat[r, index[sub]] = reduce_mod(coeff, MODULUS, zeta)
     return modp_rank(mat, MODULUS) == len(verts)
 
 
@@ -235,6 +242,18 @@ def test_json_roundtrip_and_determinism():
         assert a.start_rank == b.start_rank
         assert a.vectors == b.vectors
     assert verify_sjb(loaded).ok
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (2, 4), (5, 3)])
+def test_basis_bytes_match_the_recorded_digests(q, n):
+    """The bytes of ``qjordan construct --out`` at (q, n) hash to the SHA-256
+    digest recorded in the benchmark's reference file (keyed "q,n")."""
+    expect = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"][f"{q},{n}"]
+    text = json.dumps(sjb_to_json(construct_sjb(n, q)), separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == expect
 
 
 # counts the canonicalizations one parse makes, in a fresh interpreter whose
