@@ -141,8 +141,6 @@ class CycInt:
         if o is None:
             return NotImplemented
         p = self.p
-        if p == 2:  # Z[w] = Z
-            return CycInt._raw(2, (self.coeffs[0] * o.coeffs[0],))
         # accumulate with exponents folded mod p (w^p = 1), then eliminate
         # the w^(p-1) slot via w^(p-1) = -(1 + w + ... + w^(p-2))
         acc = [0] * p
@@ -217,15 +215,15 @@ class CycInt:
         multiple of a root of unity.
         """
         p = self.p
-        nz = [j for j, a in enumerate(self.coeffs) if a]
-        if not nz:
-            return (0, 0)
-        if len(nz) == 1:
-            j = nz[0]
-            return (self.coeffs[j], j)
-        if len(nz) == p - 1 and len(set(self.coeffs)) == 1:
-            # all coefficients equal to c: this is (-c) * w^(p-1)
-            return (-self.coeffs[0], p - 1)
+        coeffs = self.coeffs
+        if coeffs.count(0) >= p - 2:
+            # zero or a single nonzero slot, which then holds the sum; the
+            # first slot holding it is j (zero gives (0, 0))
+            j = coeffs.index(sum(coeffs))
+            return (coeffs[j], j)
+        if coeffs.count(coeffs[0]) == p - 1:
+            # all p - 1 >= 2 slots equal to c != 0: this is (-c) * w^(p-1)
+            return (-coeffs[0], p - 1)
         return None
 
     def to_int(self) -> int:
@@ -268,16 +266,10 @@ class CycInt:
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:
-        coeffs = self.coeffs
-        if coeffs.count(0) >= len(coeffs) - 1:
-            # zero or a single nonzero slot, which then holds the sum; the
-            # first slot holding it is j (zero gives m = j = 0)
-            j = coeffs.index(sum(coeffs))
-            return {"m": coeffs[j], "j": j}
         mono = self.as_monomial()
         if mono is not None:
             return {"m": mono[0], "j": mono[1]}
-        return {"coeffs": list(coeffs)}
+        return {"coeffs": list(self.coeffs)}
 
     @classmethod
     def from_json(cls, p: int, obj: dict) -> CycInt:
@@ -308,7 +300,6 @@ class CycInt:
                 parts.append(f"{a:+d}{unit}")
         s = "".join(parts)
         return s[1:] if s.startswith("+") else s
-
 
 
 # the slots' own descriptors: the constructors fill a new value through them,

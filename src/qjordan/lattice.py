@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -128,13 +127,10 @@ class LatticeVector:
     def _of(cls, q: int, n: int, terms: dict[Subspace, CycInt]) -> LatticeVector:
         """Internal constructor for vectors the package builds from parts it
         has already checked (same-ambient subspaces, CycInt coefficients of
-        prime q): keeps the nonzero coefficients and checks nothing else.
-        The vector takes ``terms`` over, so callers pass a dict of their own."""
+        prime q): copies the nonzero coefficients and checks nothing else."""
         v = object.__new__(cls)
         v.q, v.n = q, n
-        if not all(map(any, map(_coeffs, terms.values()))):
-            terms = {sub: c for sub, c in terms.items() if any(c.coeffs)}
-        v._terms = terms
+        v._terms = {sub: c for sub, c in terms.items() if any(c.coeffs)}
         return v
 
     def _as_coeff(self, value) -> CycInt:
@@ -407,7 +403,6 @@ def up_mismatches(
     return out
 
 
-_coeffs = attrgetter("coeffs")
 _INT64_LIMIT = 1 << 63
 _GRAM_BLOCK = 1 << 13  # left-plane entries per block of rows
 _UP_BLOCK = 1 << 16  # plane entries per block of rows in up_mismatches

@@ -32,8 +32,8 @@ from qjordan import (
     verify_sjb,
 )
 
+from cycrank import cyc_matrix_rank
 from modp import modp_rank
-from test_cyclotomic import cyc_matrix_rank
 
 MODULUS = 2_013_265_921  # prime; 2, 3 and 5 all divide MODULUS - 1
 
