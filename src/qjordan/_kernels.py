@@ -2,8 +2,10 @@
 
 Matrix canonicalization dominates the runtime of basis construction (orbit
 tables, cover enumeration and intersection tables all reduce batches of tiny
-matrices mod q).  There is one kernel: plain Python loops over numpy int64
-arrays, so ``active_backend()`` always reports ``"numpy"``.
+matrices mod q).  There is one implementation, interpreted, over numpy int64
+arrays: ``rref_batch`` loops over the matrices of a batch, ``rank_batch``
+eliminates a whole batch at once.  ``active_backend()`` always reports
+``"numpy"``.
 """
 
 from __future__ import annotations
@@ -68,34 +70,27 @@ def rref_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
 def rank_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     """Rank of every matrix of the (B, r, c) int64 batch mod q.
 
-    Forward elimination only; the batch is clobbered.
+    Forward elimination of the whole batch at once, one column at a time:
+    each matrix's pivot is the first nonzero entry at or below its own
+    current row, moved up by a row swap and cleared below by one broadcast
+    multiply-subtract mod q.  Entries must lie in 0..q-1; the batch is
+    clobbered.
     """
     nb, nr, nc = mats.shape
-    ranks = np.empty(nb, dtype=np.int64)
-    for b in range(nb):
-        m = mats[b]
-        row = 0
-        for col in range(nc):
-            piv = -1
-            for i in range(row, nr):
-                if m[i, col] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != row:
-                for j in range(col, nc):
-                    t = m[row, j]
-                    m[row, j] = m[piv, j]
-                    m[piv, j] = t
-            a = inv[m[row, col]]
-            for i in range(row + 1, nr):
-                if m[i, col] != 0:
-                    f = (m[i, col] * a) % q
-                    for j in range(col, nc):
-                        m[i, j] = (m[i, j] - f * m[row, j]) % q
-            row += 1
-            if row == nr:
-                break
-        ranks[b] = row
+    ranks = np.zeros(nb, dtype=np.int64)
+    rows = np.arange(nr)
+    for col in range(nc):
+        cand = (mats[:, :, col] != 0) & (rows >= ranks[:, None])
+        lanes = np.flatnonzero(cand.any(axis=1))
+        if not len(lanes):
+            continue
+        top, piv = ranks[lanes], cand[lanes].argmax(axis=1)
+        mats[lanes, top], mats[lanes, piv] = mats[lanes, piv], mats[lanes, top]
+        pivot_rows = mats[lanes, top, col:]
+        f = mats[lanes, :, col] * inv[pivot_rows[:, 0]][:, None] % q
+        f[rows <= top[:, None]] = 0
+        work = mats[lanes, :, col:]
+        work -= f[:, :, None] * pivot_rows[:, None, :]
+        mats[lanes, :, col:] = work % q
+        ranks[lanes] += 1
     return ranks

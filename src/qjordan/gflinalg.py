@@ -62,10 +62,9 @@ def rref_in_place(mat: np.ndarray, q: int) -> int:
 
 
 def fq_rank(mat, q: int) -> int:
-    m = np.array(mat, dtype=np.int64)
-    if m.size == 0:
-        return 0
-    return int(_kernels.rank_batch(m.reshape((1,) + m.shape), q, inv_table(q))[0])
+    """Rank of one matrix over F_q: a batch of one is fastest through the
+    per-matrix RREF loop, not the whole-batch rank kernel."""
+    return rref_in_place(np.array(mat, dtype=np.int64), q)
 
 
 def fq_matmul(a, b, q: int) -> np.ndarray:

@@ -112,8 +112,8 @@ class LatticeVector:
     __slots__ = ("q", "n", "_terms")
 
     def __init__(self, q: int, n: int, terms: dict[Subspace, CycInt] | None = None):
-        self.q = q
-        self.n = n
+        _set_q(self, q)
+        _set_n(self, n)
         clean: dict[Subspace, CycInt] = {}
         for sub, coeff in (terms or {}).items():
             coeff = self._as_coeff(coeff)
@@ -121,16 +121,20 @@ class LatticeVector:
                 raise ValueError(f"term {sub!r} does not live in B_{q}({n})")
             if not coeff.is_zero:
                 clean[sub] = coeff
-        self._terms = clean
+        _set_terms(self, clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LatticeVector is immutable")
 
     @classmethod
     def _of(cls, q: int, n: int, terms: dict[Subspace, CycInt]) -> LatticeVector:
         """Internal constructor for vectors the package builds from parts it
         has already checked (same-ambient subspaces, CycInt coefficients of
         prime q): copies the nonzero coefficients and checks nothing else."""
-        v = object.__new__(cls)
-        v.q, v.n = q, n
-        v._terms = {sub: c for sub, c in terms.items() if any(c.coeffs)}
+        v = _new(cls)
+        _set_q(v, q)
+        _set_n(v, n)
+        _set_terms(v, {sub: c for sub, c in terms.items() if any(c.coeffs)})
         return v
 
     def _as_coeff(self, value) -> CycInt:
@@ -262,6 +266,14 @@ class LatticeVector:
                 raise ValueError(f"duplicate subspace in serialized vector: {sub!r}")
             terms[sub] = coeff
         return cls(q, n, terms)
+
+
+# the slots' own descriptors: the constructors fill a new vector through
+# them, past the __setattr__ that keeps vectors immutable
+_new = object.__new__
+_set_q = LatticeVector.q.__set__
+_set_n = LatticeVector.n.__set__
+_set_terms = LatticeVector._terms.__set__
 
 
 def _accumulate(pairs: Iterable[tuple[Hashable, CycInt]]) -> dict:

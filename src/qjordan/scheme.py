@@ -23,7 +23,14 @@ import numpy as np
 
 from . import _kernels
 from .gflinalg import Subspace, inv_table
-from .lattice import LatticeVector, _accumulate, enumerate_rank
+from .lattice import (
+    _INT64_LIMIT,
+    LatticeVector,
+    _accumulate,
+    _max_coeff,
+    _planes,
+    enumerate_rank,
+)
 from .qcombinatorics import q_binomial, q_int
 from .sjb import SJB
 
@@ -46,8 +53,9 @@ def _check_m(n: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= n/2, got m={m}, n={n}")
 
 
-# pairs per rank_batch call: the batch stays at a few hundred kB at any size
-_PAIR_BLOCK = 4096
+# pairs per rank_batch call: the gathered batch (128 kB at m = 2, n = 4) and
+# the kernel's three whole-batch temporaries fit in one 4096-pair gather
+_PAIR_BLOCK = 1024
 
 
 @cache
@@ -96,23 +104,37 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
 def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     """Extract the m+1 eigenvalue rows of the scheme from the basis.
 
-    Every rank-m basis vector must be an exact eigenvector of every A_i
-    (checked at all coordinates); the eigenvalue may depend only on the
-    start rank of the chain.  Violations raise EigenStructureError.
+    Each start rank's row comes from the first chain of that start rank
+    through rank m: every A_i is applied to its rank-m vector, and the
+    eigen equation is checked at every coordinate.  Every other chain's
+    rank-m vector is checked against its start rank's row at every
+    coordinate by slice products (see _slice_verdicts).  A chain that fails
+    that check, or that it cannot judge, goes through the same per-chain
+    extraction, so a violation raises the EigenStructureError (or the
+    ValueError of a term off rank m) of the first faulty chain in chain
+    order, with its detail.
     """
     _check_m(n, m)
     if basis.n != n:
         raise ValueError(f"basis is for n={basis.n}, asked about n={n}")
     q = basis.q
+    through = [
+        (ci, chain.start_rank, chain.vector_at_rank(m))
+        for ci, chain in enumerate(basis.chains)
+        if chain.start_rank <= m <= chain.end_rank
+    ]
     by_start: dict[int, tuple[int, ...]] = {}
-    for ci, chain in enumerate(basis.chains):
-        if not chain.start_rank <= m <= chain.end_rank:
-            continue
-        vec = chain.vector_at_rank(m)
+    passed: dict[int, bool] = {}  # chain index -> slice verdict
+    for pos, (ci, k, vec) in enumerate(through):
+        if k in by_start:
+            if ci not in passed:
+                pending = [c for c in through[pos:] if c[1] in by_start and c[0] not in passed]
+                passed.update(_slice_verdicts(n, m, q, pending, by_start))
+            if passed[ci]:
+                continue
         row = tuple(
             _extract_eigenvalue(n, m, i, vec, ci) for i in range(m + 1)
         )
-        k = chain.start_rank
         if k in by_start and by_start[k] != row:
             raise EigenStructureError(
                 f"chain {ci} (start {k}) has eigenvalues {row}, but an earlier "
@@ -125,6 +147,48 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     if len({r.eigenvalues for r in rows}) != len(rows):
         raise EigenStructureError("eigenvalue rows are not pairwise distinct")
     return rows
+
+
+# plane entries per block of chains in the eigentable slice check
+_EIGEN_BLOCK = 1 << 16
+
+
+def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool]:
+    """Whether each (chain index, start rank, rank-m vector) of the first
+    block of pending satisfies A_i v = lambda_i v at every coordinate for
+    every i, with lambda its start rank's row in by_start.
+
+    The vectors become the (q-1, rows, nv) coefficient planes over the
+    vertices of _relations, and each relation takes one product of the
+    planes with [R == i].  int64 is used only when (nv + max|lambda|) max|coeff|
+    < 2^63 bounds every entry on both sides; otherwise the planes hold
+    Python ints.  A zero vector, or one with a term off rank m, is not
+    judged here: it gets False, like a vector that fails.
+    """
+    vertices, index_of, rel = _relations(q, n, m)
+    block = pending[: max(1, _EIGEN_BLOCK // ((q - 1) * len(vertices)))]
+    judged = [
+        (ci, by_start[k], vec)
+        for ci, k, vec in block
+        if not vec.is_zero and all(sub in index_of for sub in vec.support())
+    ]
+    verdicts = dict.fromkeys((ci for ci, _, _ in block), False)
+    if not judged:
+        return verdicts
+    vectors = [vec for _, _, vec in judged]
+    lam_max = max(abs(x) for _, row, _ in judged for x in row)
+    bound = (len(vertices) + lam_max) * _max_coeff(vectors)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    planes = _planes(vectors, index_of, q, dtype)
+    ok = np.ones(len(judged), dtype=bool)
+    for i in range(m + 1):
+        lam = np.array([row[i] for _, row, _ in judged], dtype=dtype)[:, None]
+        # (A_i v)(X) = sum_Y [R[X, Y] == i] v(Y), summed along contiguous
+        # rows of both operands: several times faster than planes @ A_i
+        image = np.einsum("sry,xy->srx", planes, (rel == i).astype(dtype))
+        ok &= (image == lam * planes).all(axis=(0, 2))
+    verdicts.update(zip((ci for ci, _, _ in judged), ok.tolist()))
+    return verdicts
 
 
 def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> int:
@@ -173,8 +237,13 @@ def rooted_tree_count(n: int, m: int, q: int) -> int:
 
 
 # Determinants are taken modulo primes below 2^_PRIME_BITS, largest first;
-# a product of two residues is below 2^62 and fits in int64.
-_PRIME_BITS = 31
+# a product of two residues is below 2^52.
+_PRIME_BITS = 26
+# Elimination steps between full reductions of the trailing block.  A
+# trailing entry is then its reduced start value minus fewer than
+# _REDUCE_PERIOD products of two residues, and 2^10 (p-1)^2 + p < 2^63 for
+# every p < 2^26, so no int64 overflows.
+_REDUCE_PERIOD = 1 << 10
 # primes eliminated together: one (4, N, N) int64 block, so memory stays
 # a few times the size of one residue matrix
 _PRIME_BLOCK = 4
@@ -185,10 +254,10 @@ def _is_prime_u32(n: int) -> bool:
     2, 7 and 61 have no common strong pseudoprime below 4,759,123,141.
 
     Kept apart from qcombinatorics.is_prime on purpose.  That trial division
-    serves q and the cyclotomic prime, which are small.  Here it would cost
-    0.09 s to scan the ~300 odd candidates below 2^31 that a 129 x 129
-    matrix-tree determinant needs (Miller-Rabin: 3 ms), paid again by every
-    CLI command in its fresh interpreter.  It also stays an independent
+    serves q and the cyclotomic prime, which are small.  Here it would take
+    about 14 times as long as Miller-Rabin to scan the ~250 odd candidates
+    below 2^26 that a 129 x 129 matrix-tree determinant needs, paid again by
+    every CLI command in its fresh interpreter.  It also stays an independent
     check of this table in the tests."""
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -224,8 +293,10 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
     shape (P, N, N).  Each prime picks its own pivot row, the first nonzero
     entry at or below the diagonal; a column with none leaves a zero pivot,
     so that prime's determinant is 0.  The determinant is the signed
-    product of the pivots.  Every entry is reduced mod p after each step,
-    so each product of two entries stays below 2^62.
+    product of the pivots.  Each step reduces only the pivot column and
+    the pivot row before using them, and the whole trailing block is
+    reduced every _REDUCE_PERIOD steps, which bounds every entry (see
+    _REDUCE_PERIOD).
     """
     pm = np.array(primes, dtype=np.int64)[:, None]
     if mat.dtype == object:
@@ -236,28 +307,30 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
     lanes = np.arange(len(primes))
     det = [1] * len(primes)
     for k in range(size):
+        if k and k % _REDUCE_PERIOD == 0:
+            a[:, k:, k:] %= pm[:, :, None]
         col = a[:, k:, k]
+        col %= pm
         piv = k + np.argmax(col != 0, axis=1)
         swap = piv != k
         if swap.any():
             a[lanes, k], a[lanes, piv] = a[lanes, piv], a[lanes, k]
         row = a[:, k, k + 1 :]
+        row %= pm
         pivots = a[:, k, k].tolist()
         for j, (x, p) in enumerate(zip(pivots, primes)):
             det[j] = det[j] * (p - x if swap[j] else x) % p
         if k + 1 < size:
             inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
             f = a[:, k + 1 :, k] * np.array(inv, dtype=np.int64)[:, None] % pm
-            rest = a[:, k + 1 :, k + 1 :]
-            rest -= f[:, :, None] * row[:, None, :]
-            rest %= pm[:, :, None]
+            a[:, k + 1 :, k + 1 :] -= f[:, :, None] * row[:, None, :]
     return det
 
 
 def bareiss_det(matrix) -> int:
     """Exact determinant of an integer matrix, by multimodular elimination.
 
-    The determinant is taken modulo primes p < 2^31 by Gaussian elimination
+    The determinant is taken modulo primes p < 2^26 by Gaussian elimination
     over Z/p (see _det_mod_primes), _PRIME_BLOCK primes at a time, and
     lifted by the Chinese remainder theorem to the symmetric residue.  The
     primes are taken until their product M exceeds twice the Hadamard bound
@@ -315,28 +388,6 @@ def matrix_tree_oracle(vertices, edges) -> int:
         simple.setdefault((min(i, j), max(i, j)), (a, b))
     lap = laplacian_matrix(verts, simple.values())
     return len(verts) * bareiss_det([row[1:] for row in lap[1:]])
-
-
-def charpoly_matches(matrix, spectrum) -> bool:
-    """Does det(tI - matrix) equal prod (t - eig)^mult, exactly?
-
-    Both sides are monic of degree |V|, so agreement at |V|+1 integer points
-    proves equality of the characteristic polynomial with the spectrum.
-    """
-    mat = [[int(x) for x in row] for row in matrix]
-    size = len(mat)
-    for t in range(size + 1):
-        shifted = [
-            [(t if i == j else 0) - mat[i][j] for j in range(size)]
-            for i in range(size)
-        ]
-        lhs = bareiss_det(shifted)
-        rhs = 1
-        for eig, mult in spectrum:
-            rhs *= (t - eig) ** mult
-        if lhs != rhs:
-            return False
-    return True
 
 
 def grassmann_graph(q: int, n: int, m: int):

@@ -11,7 +11,6 @@ import time
 from qjordan import (
     Character,
     Subspace,
-    charpoly_matches,
     check_theorem_gg,
     check_theorem_jg,
     construct_sjb,
@@ -35,6 +34,8 @@ from qjordan import (
 )
 from qjordan.cli import main as cli_main
 from qjordan.haction import character_multiplicity, characters, group_vectors
+
+from charpoly import charpoly_matches
 
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:

@@ -57,6 +57,36 @@ def test_rank_batch_matches_rref(q):
     assert np.array_equal(r1, r2)
 
 
+def low_rank_batch(rng, q, count, rows, cols):
+    """Products of random (rows x k) and (k x cols) factors with k drawn
+    from 0..min(rows, cols): the ranks, and so the pivot rows, differ
+    between the matrices of one batch."""
+    inner = rng.integers(0, min(rows, cols) + 1, size=count)
+    return np.stack(
+        [rng.integers(0, q, (rows, k)) @ rng.integers(0, q, (k, cols)) % q for k in inner]
+    ).astype(np.int64)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 127])
+@pytest.mark.parametrize("rows, cols", [(4, 4), (1, 5), (5, 1), (7, 3), (3, 7), (6, 6)])
+def test_rank_batch_on_mixed_ranks_matches_naive(q, rows, cols):
+    rng = np.random.default_rng(1000 * q + 10 * rows + cols)
+    mats = np.concatenate(
+        [
+            low_rank_batch(rng, q, 60, rows, cols),
+            np.zeros((5, rows, cols), dtype=np.int64),
+            random_batch(rng, q, count=20, rows=rows, cols=cols),
+        ]
+    )
+    rng.shuffle(mats)
+    expect = [naive_rref(mat, q)[1] for mat in mats]
+    assert len(set(expect)) > 1
+    assert _kernels.rank_batch(mats.copy(), q, inv_table(q)).tolist() == expect
+    for mat, rank in zip(mats[:10], expect):
+        assert _kernels.rank_batch(mat[None].copy(), q, inv_table(q)).tolist() == [rank]
+    assert _kernels.rank_batch(mats[:0].copy(), q, inv_table(q)).tolist() == []
+
+
 def test_modp_rank_against_small_field():
     # rank over Z/p is rank over F_p; compare with rank_batch for prime p
     rng = np.random.default_rng(13)

@@ -189,6 +189,25 @@ def test_public_constructor_validates_every_term():
     assert LatticeVector(3, 2, {line: 2}).coeff(line) == CycInt.from_int(3, 2)
 
 
+def test_vectors_are_immutable():
+    line = Subspace.span(3, 2, [(1, 1)])
+    built = [
+        LatticeVector.basis(Subspace.zero(2, 2)),
+        LatticeVector(3, 2, {line: 2}),
+        LatticeVector(3, 2, {line: 2}) + LatticeVector(3, 2, {line: 1}),
+        up_apply(LatticeVector(3, 2, {line: 2})),
+    ]
+    for v in built:
+        before = v.to_json()
+        with pytest.raises(AttributeError):
+            v.q = 3
+        with pytest.raises(AttributeError):
+            v._terms = {}
+        with pytest.raises(AttributeError):
+            v.n = 5
+        assert v.to_json() == before
+
+
 @st.composite
 def vector_lists(draw):
     """Two lists of vectors with arbitrary (often non-monomial) coefficients

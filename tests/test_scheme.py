@@ -19,7 +19,6 @@ from qjordan import (
     Subspace,
     adjacency_apply,
     bareiss_det,
-    charpoly_matches,
     check_theorem_gg,
     check_theorem_jg,
     eigentable,
@@ -37,8 +36,10 @@ from qjordan import (
     ud_du_count,
 )
 from qjordan.qcombinatorics import is_prime
-from qjordan.scheme import _det_prime, _is_prime_u32, _relations
+from qjordan.scheme import _det_prime, _extract_eigenvalue, _is_prime_u32, _relations
 from qjordan.sjb import SJB, JordanChain
+
+from charpoly import charpoly_matches
 
 
 def all_ones(q, n, m):
@@ -308,9 +309,9 @@ def test_bareiss_det_matches_python_int_reference():
 def test_det_prime_table():
     primes = [_det_prime(i) for i in range(40)]
     assert len(set(primes)) == len(primes)
-    assert all(p < 2**31 and is_prime(p) for p in primes)
-    # the largest primes below 2^31, in order: none skipped
-    expect, cand = [], 2**31 - 1
+    assert all(p < 2**26 and is_prime(p) for p in primes)
+    # the largest primes below 2^26, in order: none skipped
+    expect, cand = [], 2**26 - 1
     while len(expect) < len(primes):
         if is_prime(cand):
             expect.append(cand)
@@ -319,6 +320,65 @@ def test_det_prime_table():
     # strong pseudoprimes to base 2 (2047) and to bases 2, 3, 5, 7
     assert not _is_prime_u32(2047)
     assert not _is_prime_u32(3215031751)
+
+
+@pytest.mark.parametrize("bits, period", [(26, 1), (26, 2), (31, 1)])
+def test_bareiss_det_with_a_short_reduction_period(monkeypatch, bits, period):
+    import random
+
+    import qjordan.scheme as scheme
+
+    # the default period certifies int64: fewer than 2^10 products of two
+    # residues below 2^26 stack onto a reduced entry; so does each case here,
+    # and at 2^31 only a full reduction after every step keeps that bound
+    assert scheme._REDUCE_PERIOD * (2**scheme._PRIME_BITS - 1) ** 2 + 2**scheme._PRIME_BITS < 2**63
+    assert period * (2**bits - 1) ** 2 + 2**bits < 2**63
+    monkeypatch.setattr(scheme, "_PRIME_BITS", bits)
+    monkeypatch.setattr(scheme, "_REDUCE_PERIOD", period)
+    scheme._det_prime.cache_clear()
+    try:
+        _check_det_against_references(random.Random(2024))
+    finally:
+        scheme._det_prime.cache_clear()
+
+
+def _check_det_against_references(rng):
+    """bareiss_det against python_int_bareiss, or a closed form, on the
+    matrices of test_bareiss_det_matches_python_int_reference and more."""
+    mats = []
+    # entries past 2^31, past int64, and negative
+    for size, bits in [(1, 40), (3, 31), (5, 62), (6, 70), (8, 100), (40, 35)]:
+        mats.append([[rng.randint(-(2**bits), 2**bits) for _ in range(size)] for _ in range(size)])
+    # singular: a dependent row, a zero row, a zero column
+    for size in (2, 5, 36):
+        mat = [[rng.randint(-(2**40), 2**40) for _ in range(size)] for _ in range(size)]
+        mats.append(mat[:-1] + [[3 * a - 2 * b for a, b in zip(mat[0], mat[1 % size])]])
+        mats.append(mat[:-1] + [[0] * size])
+        mats.append([[0] + row[1:] for row in mat])
+    # det = 0 modulo primes that are in use
+    p0, p1, p2 = map(_det_prime, range(3))
+    mats.append([[p0, 0, 0], [0, p1, 0], [0, 0, 7]])
+    mats.append([[p0 * p1, 0], [0, -p2]])
+    mats.append([[p0, 1], [2 * p0, 2]])
+    # |det| equal to the Hadamard bound, and a Laplacian minor
+    mats.append(sylvester_hadamard(16))
+    verts, edges = grassmann_graph(2, 4, 2)
+    mats.append([row[1:] for row in laplacian_matrix(verts, edges)[1:]])
+    for mat in mats:
+        assert bareiss_det(mat) == python_int_bareiss(mat), mat
+    # a row-permuted L U of size 200, det = sign * prod diag(U)
+    size = 200
+    lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(size)] for i in range(size)]
+    diag = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(size)]
+    upper = [[rng.randint(-3, 3) if j > i else diag[i] * (i == j) for j in range(size)] for i in range(size)]
+    perm = list(range(size))
+    rng.shuffle(perm)
+    lu = (np.array(lower) @ np.array(upper))[perm]
+    inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+    expect = (-1) ** inversions
+    for d in diag:
+        expect *= d
+    assert bareiss_det(lu) == expect
 
 
 def test_importing_qjordan_builds_no_prime_table():
@@ -450,28 +510,35 @@ def test_adjacency_apply_is_the_sum_over_neighbours(data):
     assert adjacency_apply(n, m, i, v) == LatticeVector(q, n, expect)
 
 
+def _with_vector(basis, m, ci, vec):
+    """The basis with the rank-m vector of chain ci replaced by vec."""
+    chains = list(basis.chains)
+    chain = chains[ci]
+    vecs = list(chain.vectors)
+    vecs[m - chain.start_rank] = vec
+    chains[ci] = JordanChain(chain.start_rank, tuple(vecs))
+    return SJB(basis.q, basis.n, tuple(chains))
+
+
 def _drop_two_terms(basis, m):
     """The basis with two terms removed from the rank-m vector of its first
     chain through rank m."""
-    chains = list(basis.chains)
-    target = next(i for i, c in enumerate(chains) if c.start_rank <= m <= c.end_rank)
-    chain = chains[target]
-    vecs = list(chain.vectors)
-    idx = m - chain.start_rank
-    kept = dict(vecs[idx].sorted_items()[2:])
-    vecs[idx] = LatticeVector(basis.q, basis.n, kept)
-    chains[target] = JordanChain(chain.start_rank, tuple(vecs))
-    return SJB(basis.q, basis.n, tuple(chains))
+    target = next(i for i, c in enumerate(basis.chains) if c.start_rank <= m <= c.end_rank)
+    kept = dict(basis.chains[target].vector_at_rank(m).sorted_items()[2:])
+    return _with_vector(basis, m, target, LatticeVector(basis.q, basis.n, kept))
 
 
 def _first_eigen_fault(n, m, basis):
     """The eigentable failure detail, by a scan of each vector's coordinates
-    in Subspace.sort_key order."""
+    in Subspace.sort_key order and of each chain's eigenvalues against the
+    first chain of its start rank."""
+    by_start = {}
     for ci, chain in enumerate(basis.chains):
         if not chain.start_rank <= m <= chain.end_rank:
             continue
         vec = chain.vector_at_rank(m)
         base_sub, base_coeff = vec.sorted_items()[0]
+        row = []
         for i in range(m + 1):
             image = adjacency_apply(n, m, i, vec)
             image_base = image.coeff(base_sub)
@@ -479,6 +546,13 @@ def _first_eigen_fault(n, m, basis):
             for sub in coords:
                 if image.coeff(sub) * base_coeff != image_base * vec.coeff(sub):
                     return f"chain {ci}: not an eigenvector of A_{i} at coordinate {sub!r}"
+            row.append(image_base.divexact(base_coeff).to_int())
+        k, row = chain.start_rank, tuple(row)
+        if by_start.setdefault(k, row) != row:
+            return (
+                f"chain {ci} (start {k}) has eigenvalues {row}, but an earlier "
+                f"chain with start {k} had {by_start[k]}"
+            )
     return None
 
 
@@ -506,3 +580,82 @@ def test_eigentable_fault_detail_does_not_depend_on_the_hash_seed(basis_for, tmp
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == expect, f"PYTHONHASHSEED={seed}"
+
+
+def _chains_through(basis, m, start):
+    return [
+        ci
+        for ci, c in enumerate(basis.chains)
+        if c.start_rank == start and c.start_rank <= m <= c.end_rank
+    ]
+
+
+@pytest.mark.parametrize("fault", ["broken", "foreign-row", "zero", "off-rank"])
+def test_eigentable_fault_on_a_later_chain_of_its_start_rank(basis_for, fault):
+    q, n, m = 3, 4, 2
+    basis = basis_for(q, n)
+    ones, twos = _chains_through(basis, m, 1), _chains_through(basis, m, 2)
+    ci = ones[len(ones) // 2]  # neither the first nor the last of start rank 1
+    vec = basis.chains[ci].vector_at_rank(m)
+    last_sub, _ = vec.sorted_items()[-1]
+    bad = {
+        "broken": vec + LatticeVector(q, n, {last_sub: 1}),
+        "foreign-row": basis.chains[twos[-1]].vector_at_rank(m),
+        "zero": LatticeVector.zero(q, n),
+        "off-rank": vec + LatticeVector.basis(Subspace.span(q, n, [(1, 0, 0, 0)])),
+    }[fault]
+    broken = _with_vector(basis, m, ci, bad)
+    # a later fault on the first chain of start rank 2 must not be reported
+    first_two = broken.chains[twos[0]].vector_at_rank(m)
+    broken = _with_vector(broken, m, twos[0], first_two * 2 + LatticeVector.basis(last_sub))
+    with pytest.raises(Exception) as info:
+        eigentable(n, m, broken)
+    if fault in ("broken", "foreign-row"):
+        assert type(info.value) is EigenStructureError
+        assert str(info.value) == _first_eigen_fault(n, m, broken)
+        assert str(info.value).startswith(f"chain {ci}")
+    else:
+        # what the per-chain extraction raises on that vector by itself
+        with pytest.raises(Exception) as alone:
+            _extract_eigenvalue(n, m, 0, bad, ci)
+        assert type(info.value) is type(alone.value) is {"zero": IndexError, "off-rank": ValueError}[fault]
+        assert str(info.value) == str(alone.value)
+
+
+def test_eigentable_in_small_blocks_any_chain_order_and_past_int64(basis_for, monkeypatch):
+    import random
+
+    import qjordan.scheme as scheme
+
+    q, n, m = 2, 4, 2
+    basis = basis_for(q, n)
+    expect = eigentable(n, m, basis)
+    # the rows are read through A_i on the first chain of each start rank
+    calls = []
+    apply = scheme.adjacency_apply
+    monkeypatch.setattr(scheme, "adjacency_apply", lambda *a: calls.append(a) or apply(*a))
+    assert eigentable(n, m, basis) == expect
+    assert len(calls) == (m + 1) ** 2
+    monkeypatch.setattr(scheme, "adjacency_apply", apply)
+    # chains of all start ranks interleaved, and coefficients past int64
+    chains = list(basis.chains)
+    random.Random(5).shuffle(chains)
+    shuffled = SJB(q, n, tuple(chains))
+    scaled = SJB(q, n, tuple(
+        JordanChain(c.start_rank, tuple(v * (1 << 62) for v in c.vectors)) for c in basis.chains
+    ))
+    cases = []
+    for sound in (shuffled, scaled):
+        for start in (1, 2):
+            ci = _chains_through(sound, m, start)[-2]
+            vec = sound.chains[ci].vector_at_rank(m)
+            sub, _ = vec.sorted_items()[0]
+            broken = _with_vector(sound, m, ci, vec + LatticeVector.basis(sub))
+            cases.append((sound, broken, _first_eigen_fault(n, m, broken)))
+    for block in (1, 1 << 7, scheme._EIGEN_BLOCK):
+        monkeypatch.setattr(scheme, "_EIGEN_BLOCK", block)
+        for sound, broken, fault in cases:
+            assert eigentable(n, m, sound) == expect
+            with pytest.raises(EigenStructureError) as info:
+                eigentable(n, m, broken)
+            assert str(info.value) == fault
