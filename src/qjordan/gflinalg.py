@@ -40,55 +40,10 @@ def inv_table(q: int) -> np.ndarray:
     return _kernels.inverse_table(q)
 
 
-def as_fq_matrix(q: int, data, rows: int | None = None) -> np.ndarray:
-    """Validate and normalize a matrix over F_q to an int8 array."""
-    inv_table(q)
-    mat = np.asarray(data, dtype=np.int64)
-    if mat.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got shape {mat.shape}")
-    if rows is not None and mat.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {mat.shape[0]}")
-    if mat.size and (mat.min() < 0 or mat.max() >= q):
-        mat = np.mod(mat, q)
-    return mat.astype(np.int8)
-
-
-def rref_in_place(mat: np.ndarray, q: int) -> int:
-    """Reduce an int64 matrix to RREF mod q in place; returns the rank."""
-    if mat.size == 0:
-        return 0
-    ranks = _kernels.rref_batch(mat.reshape((1,) + mat.shape), q, inv_table(q))
-    return int(ranks[0])
-
-
-def fq_rank(mat, q: int) -> int:
-    """Rank of one matrix over F_q: a batch of one is fastest through the
-    per-matrix RREF loop, not the whole-batch rank kernel."""
-    return rref_in_place(np.array(mat, dtype=np.int64), q)
-
-
 def fq_matmul(a, b, q: int) -> np.ndarray:
     """Exact matrix product mod q (int64 accumulation is safe at our sizes)."""
     prod = np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
     return np.mod(prod, q)
-
-
-def fq_nullspace(mat, q: int) -> np.ndarray:
-    """Columns spanning the right kernel of ``mat`` over F_q."""
-    m = np.array(mat, dtype=np.int64)
-    nr, nc = m.shape
-    rank = rref_in_place(m, q) if m.size else 0
-    pivots = []
-    for i in range(rank):
-        nz = np.flatnonzero(m[i])
-        pivots.append(int(nz[0]))
-    free = [j for j in range(nc) if j not in set(pivots)]
-    basis = np.zeros((nc, len(free)), dtype=np.int64)
-    for t, f in enumerate(free):
-        basis[f, t] = 1
-        for i, pcol in enumerate(pivots):
-            basis[pcol, t] = (-m[i, f]) % q
-    return basis
 
 
 def subspaces_from_matrix_batch(q: int, mats: np.ndarray) -> list["Subspace"]:
@@ -184,10 +139,6 @@ class Subspace:
         """The canonical n x k matrix (read-only)."""
         return self._mat
 
-    @property
-    def dim(self) -> int:
-        return self.k
-
     def pivot_rows(self) -> tuple[int, ...]:
         return self.sort_key()[1]
 
@@ -229,45 +180,6 @@ class Subspace:
         cols = [list(map(int, self._mat[:, j])) for j in range(self.k)]
         return f"Subspace(q={self.q}, n={self.n}, cols={cols})"
 
-    # -- predicates and lattice operations ------------------------------------
-
-    def contains_vector(self, v) -> bool:
-        vec = np.asarray(v, dtype=np.int64).reshape(-1, 1) % self.q
-        if vec.shape[0] != self.n:
-            raise ValueError(f"vector length {vec.shape[0]} != ambient {self.n}")
-        if not vec.any():
-            return True
-        stacked = np.hstack([self._mat.astype(np.int64), vec])
-        return fq_rank(stacked, self.q) == self.k
-
-    def contains(self, other: Subspace) -> bool:
-        self._check_compatible(other)
-        if other.k > self.k:
-            return False
-        if other.k == 0:
-            return True
-        stacked = np.hstack([self._mat, other._mat]).astype(np.int64)
-        return fq_rank(stacked, self.q) == self.k
-
-    def covers(self, other: Subspace) -> bool:
-        """True iff other < self with dim(self) = dim(other) + 1."""
-        return self.k == other.k + 1 and self.contains(other)
-
-    def intersect(self, other: Subspace) -> Subspace:
-        self._check_compatible(other)
-        if self.k == 0 or other.k == 0:
-            return Subspace.zero(self.q, self.n)
-        stacked = np.hstack([self._mat, other._mat]).astype(np.int64)
-        null = fq_nullspace(stacked, self.q)
-        gens = fq_matmul(self._mat, null[: self.k, :], self.q)
-        return Subspace.from_matrix(self.q, gens)
-
-    def _check_compatible(self, other: Subspace) -> None:
-        if self.q != other.q:
-            raise ValueError(f"mixed fields: q={self.q} vs q={other.q}")
-        if self.n != other.n:
-            raise ValueError(f"mixed ambients: n={self.n} vs n={other.n}")
-
     # -- ambient coercions -----------------------------------------------------
 
     def hat(self) -> Subspace:
@@ -287,14 +199,6 @@ class Subspace:
         m = np.zeros((ambient, self.k), dtype=np.int64)
         m[: self.n] = self._mat
         return Subspace._make(self.q, ambient, m)
-
-    def restrict(self, ambient: int) -> Subspace:
-        """Inverse of embed; requires the trailing coordinates to vanish."""
-        if ambient > self.n:
-            raise ValueError(f"cannot restrict ambient {self.n} to {ambient}")
-        if np.any(self._mat[ambient:]):
-            raise ValueError(f"{self!r} is not contained in the first {ambient} coordinates")
-        return Subspace._make(self.q, ambient, self._mat[:ambient].astype(np.int64))
 
     # -- serialization -----------------------------------------------------------
 

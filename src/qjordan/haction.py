@@ -31,7 +31,7 @@ from .lattice import (
     up_apply,
     up_mismatches,
 )
-from .qcombinatorics import galois_number, q_binomial
+from .qcombinatorics import galois_number
 from .reporting import Check, Report
 
 
@@ -64,35 +64,12 @@ class Character:
     def exponent(self, a: tuple[int, ...]) -> int:
         return sum(ci * ai for ci, ai in zip(self.c, a)) % self.q
 
-    def conj_value(self, a: tuple[int, ...]) -> CycInt:
-        return CycInt.omega(self.q, (-self.exponent(a)) % self.q)
-
 
 def characters(n: int, q: int, include_trivial: bool = False):
     """The characters of F_q^n in lexicographic order of their index vectors."""
     for c in group_vectors(n, q):
         if include_trivial or any(c):
             yield Character(q, c)
-
-
-def act(a: tuple[int, ...], x: Subspace) -> Subspace:
-    """Image of x under the group element indexed by a.
-
-    x must be a subspace of F_q^(n+1) not contained in the embedded F_q^n.
-    """
-    n = x.n - 1
-    if len(a) != n:
-        raise ValueError(f"group vector length {len(a)} != {n}")
-    _require_outside(x)
-    m = x.matrix.astype(np.int64)
-    shifted = m.copy()
-    shifted[:n, :] = (m[:n, :] + np.outer(np.asarray(a, dtype=np.int64), m[n, :])) % x.q
-    return Subspace.from_matrix(x.q, shifted)
-
-
-def _require_outside(x: Subspace) -> None:
-    if x.n < 1 or not np.any(x.matrix[x.n - 1]):
-        raise ValueError(f"{x!r} is contained in the fixed hyperplane")
 
 
 @dataclass(frozen=True)
@@ -114,9 +91,10 @@ class OrbitTable:
 
 @cache
 def orbit_table(x: Subspace) -> OrbitTable:
-    _require_outside(x)
-    n = x.n - 1
-    q = x.q
+    """The orbit of x, a subspace outside the hyperplane, with its action table."""
+    n, q = x.n - 1, x.q
+    if n < 0 or not x.matrix[n].any():
+        raise ValueError(f"{x!r} is contained in the fixed hyperplane")
     m = x.matrix.astype(np.int64)
     shifts = all_coordinate_vectors(n, q)  # one row per group vector, lex order
     mats = np.empty((len(shifts), x.n, x.k), dtype=np.int64)
@@ -129,21 +107,6 @@ def orbit_table(x: Subspace) -> OrbitTable:
     self_index = position[x]
     stabilizer = tuple(g for g, idx in enumerate(group_index) if idx == self_index)
     return OrbitTable(orbit, self_index, group_index, stabilizer)
-
-
-def h_map(x: Subspace) -> Subspace:
-    """x intersect F_q^n, returned in its own ambient F_q^n."""
-    _require_outside(x)
-    hyper = Subspace.full(x.q, x.n - 1).embed(x.n)
-    return x.intersect(hyper).restrict(x.n - 1)
-
-
-def eq_class(x: Subspace) -> tuple[Subspace, ...]:
-    """All subspaces with the same hyperplane intersection as x.
-
-    By the orbit description this is exactly the orbit of x under the group.
-    """
-    return orbit_table(x).orbit
 
 
 @cache
@@ -230,45 +193,6 @@ def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
         for img, c in p_chi(chi, _mu_hat(hyper, sub)).items()
     )
     return LatticeVector._of(v.q, n + 1, _accumulate(images))
-
-
-@cache
-def _fixed_point_counts(n: int, k: int, q: int) -> tuple[int, ...]:
-    """counts[g] = number of dim-k subspaces outside the hyperplane fixed by
-    the g-th group vector; one orbit-table pass over all of them."""
-    counts = [0] * q**n
-    for x in enumerate_rank(n + 1, k, q):
-        if not np.any(x.matrix[n]):
-            continue  # inside the hyperplane: not acted on
-        table = orbit_table(x)
-        for g, idx in enumerate(table.group_index):
-            if idx == table.self_index:
-                counts[g] += 1
-    return tuple(counts)
-
-
-def perm_character(n: int, k: int, a: tuple[int, ...], q: int) -> int:
-    """Number of dim-k subspaces outside the hyperplane fixed by the group
-    element a (a in F_q^n, subspaces in F_q^(n+1)), counted directly."""
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k must lie in 1..{n + 1}, got {k}")
-    g = group_vectors(n, q).index(tuple(x % q for x in a))
-    return _fixed_point_counts(n, k, q)[g]
-
-
-def character_multiplicity(chi: Character, n: int, k: int) -> int:
-    """Multiplicity of chi in the permutation action on dim-k subspaces,
-    computed as an exact character inner product of fixed-point counts."""
-    q = chi.q
-    counts = _fixed_point_counts(n, k, q)
-    total = CycInt.zero(q)
-    for g, a in enumerate(group_vectors(n, q)):
-        total = total + chi.conj_value(a) * counts[g]
-    value = total.to_int()
-    mult, rem = divmod(value, q**n)
-    if rem:
-        raise RuntimeError(f"character inner product {value} not divisible by {q**n}")
-    return mult
 
 
 def verify_decomposition(n: int, q: int) -> Report:

@@ -344,8 +344,9 @@ def gram(left: Sequence[LatticeVector], right: Sequence[LatticeVector]) -> np.nd
             if sub in on_right:
                 index.setdefault(sub, len(index))
     size = max(len(index), 1)
-    bound = 2 * (q - 1) * size * _max_coeff(left) * _max_coeff(right)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    left_max = _max_coeff(left)
+    right_max = left_max if right is left else _max_coeff(right)
+    dtype = _plane_dtype(2 * (q - 1) * size * left_max * right_max)
     out = np.zeros((q - 1, len(left), len(right)), dtype=dtype)
     right_planes = _planes(right, index, q, dtype)
     step = max(1, _GRAM_BLOCK // size)
@@ -399,8 +400,7 @@ def up_mismatches(
     width = max(map(len, inside.values()), default=0)
     pad = [len(sources)] * width
     gather = np.array([(cols + pad)[:width] for cols in inside.values()], dtype=np.intp)
-    bound = max(len(sources), 1) * _max_coeff(everything)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    dtype = _plane_dtype(max(len(sources), 1) * _max_coeff(everything))
     out = np.zeros(len(vectors), dtype=bool)
     step = max(1, _UP_BLOCK // (len(sources) + len(targets) + 1))
     for lo in range(0, len(vectors), step):
@@ -415,9 +415,15 @@ def up_mismatches(
     return out
 
 
-_INT64_LIMIT = 1 << 63
 _GRAM_BLOCK = 1 << 13  # left-plane entries per block of rows
 _UP_BLOCK = 1 << 16  # plane entries per block of rows in up_mismatches
+
+
+def _plane_dtype(bound: int):
+    """The dtype of exact coefficient planes whose entries and partial sums
+    are all at most ``bound`` in magnitude: int64 when bound < 2^63, else
+    object (Python ints)."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 def _max_coeff(vectors: Sequence[LatticeVector]) -> int:
@@ -439,9 +445,3 @@ def _planes(vectors, index: dict[Subspace, int], q: int, dtype) -> np.ndarray:
                 planes[:, row, col] = coeff.coeffs
     return planes
 
-
-def norm_sq(v: LatticeVector) -> int:
-    """<v, v> as a plain nonnegative integer."""
-    value = inner(v, v).to_int()
-    assert value >= 0
-    return value

@@ -24,10 +24,10 @@ import numpy as np
 from . import _kernels
 from .gflinalg import Subspace, inv_table
 from .lattice import (
-    _INT64_LIMIT,
     LatticeVector,
     _accumulate,
     _max_coeff,
+    _plane_dtype,
     _planes,
     enumerate_rank,
 )
@@ -110,9 +110,9 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     rank-m vector is checked against its start rank's row at every
     coordinate by slice products (see _slice_verdicts).  A chain that fails
     that check, or that it cannot judge, goes through the same per-chain
-    extraction, so a violation raises the EigenStructureError (or the
-    ValueError of a term off rank m) of the first faulty chain in chain
-    order, with its detail.
+    extraction, so a violation raises the EigenStructureError of the first
+    faulty chain in chain order, with its detail; a zero rank-m vector and
+    one with a term off rank m are violations too.
     """
     _check_m(n, m)
     if basis.n != n:
@@ -177,8 +177,7 @@ def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool
         return verdicts
     vectors = [vec for _, _, vec in judged]
     lam_max = max(abs(x) for _, row, _ in judged for x in row)
-    bound = (len(vertices) + lam_max) * _max_coeff(vectors)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    dtype = _plane_dtype((len(vertices) + lam_max) * _max_coeff(vectors))
     planes = _planes(vectors, index_of, q, dtype)
     ok = np.ones(len(judged), dtype=bool)
     for i in range(m + 1):
@@ -192,6 +191,10 @@ def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool
 
 
 def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> int:
+    if vec.is_zero:
+        raise EigenStructureError(f"chain {ci}: the rank-{m} vector is zero")
+    if any(sub.k != m for sub in vec.support()):
+        raise EigenStructureError(f"chain {ci}: the rank-{m} vector has a term off rank {m}")
     image = adjacency_apply(n, m, i, vec)
     base_sub, base_coeff = vec.sorted_items()[0]
     image_base = image.coeff(base_sub)

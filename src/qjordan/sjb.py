@@ -72,14 +72,6 @@ class SJB:
     def chains_starting_at(self, k: int) -> tuple[JordanChain, ...]:
         return tuple(c for c in self.chains if c.start_rank == k)
 
-    def rank_slice(self, m: int) -> list[LatticeVector]:
-        """The basis vectors of rank m, in chain order."""
-        return [
-            c.vector_at_rank(m)
-            for c in self.chains
-            if c.start_rank <= m <= c.end_rank
-        ]
-
 
 def construct_sjb(n: int, q: int) -> SJB:
     """Build the orthogonal symmetric Jordan basis of V(B_q(n))."""

@@ -6,30 +6,8 @@ import pytest
 from qjordan import _kernels
 from qjordan.gflinalg import inv_table
 
+from fq import naive_rref
 from modp import modp_rank
-
-
-def naive_rref(mat, q):
-    """Reference row reduction, written for clarity not speed."""
-    m = [[int(x) % q for x in row] for row in mat]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    row = 0
-    for col in range(nc):
-        piv = next((i for i in range(row, nr) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], q - 2, q)
-        m[row] = [(x * inv) % q for x in m[row]]
-        for i in range(nr):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[row])]
-        row += 1
-        if row == nr:
-            break
-    return m, row
 
 
 def random_batch(rng, q, count=200, rows=5, cols=7):

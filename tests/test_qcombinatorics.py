@@ -7,22 +7,11 @@ import pytest
 from qjordan import galois_number, is_prime, q_binomial, q_int, verify_identities
 from qjordan.lattice import enumerate_rank
 
+from fq import span_set
+
 
 def all_vectors(n, q):
     return list(product(range(q), repeat=n))
-
-
-def span_set(vectors, q):
-    """All linear combinations of the given vectors, as a frozenset: an
-    SNF-free way to identify a subspace."""
-    n = len(vectors[0]) if vectors else 0
-    span = set()
-    for coeffs in product(range(q), repeat=len(vectors)):
-        total = (0,) * n
-        for c, v in zip(coeffs, vectors):
-            total = tuple((t + c * x) % q for t, x in zip(total, v))
-        span.add(total)
-    return frozenset(span)
 
 
 def count_subspaces_bruteforce(n, k, q):
@@ -34,7 +23,7 @@ def count_subspaces_bruteforce(n, k, q):
 
     def rec(chosen, start):
         if len(chosen) == k:
-            s = span_set(chosen, q)
+            s = span_set(chosen, q, n)
             if len(s) == q**k:
                 seen.add(s)
             return

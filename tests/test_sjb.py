@@ -21,7 +21,6 @@ from qjordan import (
     enumerate_rank,
     galois_number,
     inner,
-    norm_sq,
     q_binomial,
     q_int,
     singular_value_sq,
@@ -50,13 +49,18 @@ def reduce_mod(coeff, modulus, zeta):
     return sum(a * pow(zeta, j, modulus) for j, a in enumerate(coeff.coeffs)) % modulus
 
 
+def rank_slice(basis, m):
+    """The basis vectors of rank m, in chain order."""
+    return [c.vector_at_rank(m) for c in basis.chains if c.start_rank <= m <= c.end_rank]
+
+
 def slice_spans_mod(basis, m):
     """Spanning certificate: full rank after specializing w to a root of
     unity in a prime field (specialization can only drop rank, so full
     modular rank proves full rank over the cyclotomic field)."""
     verts = enumerate_rank(basis.n, m, basis.q)
     index = {s: i for i, s in enumerate(verts)}
-    vectors = basis.rank_slice(m)
+    vectors = rank_slice(basis, m)
     if len(vectors) != len(verts):
         return False
     zeta = root_of_unity(basis.q)
@@ -70,7 +74,7 @@ def slice_spans_mod(basis, m):
 def slice_spans_exact(basis, m):
     """Spanning by exact rank over the cyclotomic field (Bareiss)."""
     verts = enumerate_rank(basis.n, m, basis.q)
-    vectors = basis.rank_slice(m)
+    vectors = rank_slice(basis, m)
     if len(vectors) != len(verts):
         return False
     rows = [[vec.coeff(s) for s in verts] for vec in vectors]
@@ -144,7 +148,7 @@ def test_ratio_table_q3_level2():
     report = verify_sjb(basis)
     assert report.ok
     (chain,) = basis.chains_starting_at(0)
-    norms = [norm_sq(v) for v in chain.vectors]
+    norms = [inner(v, v).to_int() for v in chain.vectors]
     assert norms[1] == 4 * norms[0]
     assert norms[2] == 4 * norms[1]
 
@@ -160,7 +164,8 @@ def test_auxiliary_up_and_bar_identities():
             xs = list(chain.vectors)
             bars = [theta(v) for v in xs]
             for u_idx, u in enumerate(range(k, n - k + 1)):
-                assert norm_sq(bars[u_idx]) == q ** (n - u) * norm_sq(xs[u_idx])
+                bar, x = bars[u_idx], xs[u_idx]
+                assert inner(bar, bar).to_int() == q ** (n - u) * inner(x, x).to_int()
                 up_bar = up_apply(bars[u_idx])
                 if u < n - k:
                     assert up_bar == bars[u_idx + 1] * q

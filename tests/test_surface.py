@@ -1,0 +1,74 @@
+"""The package keeps only what it runs: every function it defines has a
+caller elsewhere in the package, bar a few entry points kept for users."""
+
+import ast
+from pathlib import Path
+
+import qjordan
+
+PACKAGE = Path(qjordan.__file__).parent
+
+# functions that nothing in the package calls, kept on purpose
+ENTRY_POINTS = {
+    "active_backend",  # the benchmark records which kernel ran
+    "check_theorem_gg",  # the benchmark's trees workload runs it
+    "omega",  # CycInt.omega: the root of unity w, a constructor for users
+    "span",  # Subspace.span: a subspace from spanning vectors
+    "full",  # Subspace.full: the whole ambient space
+}
+
+
+class _Scan(ast.NodeVisitor):
+    """The functions and methods a module defines, and the names it reads
+    outside the body of a function of the same name (recursion is no
+    caller).  Names are matched alone, so a method counts as called when
+    any attribute of that name is read."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.defined: dict[str, str] = {}  # name -> where it is defined
+        self.read: set[str] = set()
+        self._scopes: list[str] = []
+
+    def visit_ClassDef(self, node):
+        self._scopes.append(node.name)
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    def visit_FunctionDef(self, node):
+        self.defined[node.name] = ".".join([self.module, *self._scopes, node.name])
+        self._scopes.append(node.name)
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id not in self._scopes:
+            self.read.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self._scopes:
+            self.read.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_package_function_has_a_package_caller():
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        scan = _Scan(path.stem)
+        scan.visit(ast.parse(path.read_text(), filename=str(path)))
+        defined.update(scan.defined)
+        read |= scan.read
+    uncalled = sorted(
+        where
+        for name, where in defined.items()
+        if name not in read | ENTRY_POINTS and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not uncalled, f"called nowhere in the package: {uncalled}"
+
+
+def test_all_names_resolve_once():
+    names = qjordan.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(qjordan, name)] == []
