@@ -213,6 +213,8 @@ def run(args: argparse.Namespace) -> int:
         return _usage_error("identities needs n >= 1")
     if args.command == "decompose" and n < 1:
         return _usage_error("decompose needs n >= 1")
+    if args.command == "johnson" and m < 1:
+        return _usage_error("johnson needs m >= 1")
     handlers = {
         "construct": cmd_construct,
         "verify": cmd_verify,

@@ -7,24 +7,24 @@ the integers (w = -1, basis of length one).
 
 Only prime p is supported.  The characters showing up elsewhere in this
 package take values in p-th roots of unity for prime p, so a single
-cyclotomic field per p covers every exact computation we need.
+cyclotomic field per p covers every exact computation we need.  The one
+automorphism the package uses is complex conjugation, w -> w^(p-1), and it
+divides nothing in Z[w]: the one quotient it needs, an integer eigenvalue,
+is read off a single coefficient slot (see :mod:`qjordan.scheme`).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
 
 from .qcombinatorics import is_prime, json_int
 
 
-_KNOWN_PRIMES: set[int] = set()
-
-
+@cache
 def _check_prime(p: int) -> None:
-    if p not in _KNOWN_PRIMES:
-        if not is_prime(p):
-            raise ValueError(f"CycInt requires prime p, got {p}")
-        _KNOWN_PRIMES.add(p)
+    if not is_prime(p):
+        raise ValueError(f"CycInt requires prime p, got {p}")
 
 
 class CycInt:
@@ -185,28 +185,17 @@ class CycInt:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    # -- Galois action -----------------------------------------------------
-
-    def galois(self, s: int) -> CycInt:
-        """Apply the field automorphism w -> w^s (s not divisible by p)."""
-        p = self.p
-        s %= p
-        if s == 0:
-            raise ValueError("w -> w^0 is not an automorphism")
-        acc = [0] * p
-        for j, a in enumerate(self.coeffs):
-            if a:
-                acc[(j * s) % p] += a
-        top = acc[p - 1]
-        if top:
-            return CycInt._raw(p, tuple(acc[j] - top for j in range(p - 1)))
-        return CycInt._raw(p, tuple(acc[: p - 1]))
-
     def conj(self) -> CycInt:
-        """Complex conjugation, w -> w^(p-1)."""
-        return self.galois(self.p - 1)
+        """Complex conjugation, w -> w^(p-1): slot j moves to slot p - j, and
+        slot 1 lands on w^(p-1) = -(1 + w + ... + w^(p-2)), so its
+        coefficient is subtracted from every slot.  At p = 2, Z[w] is Z."""
+        c = self.coeffs
+        if len(c) == 1:
+            return self
+        top = c[1]
+        return CycInt._raw(self.p, (c[0] - top, -top, *[a - top for a in reversed(c[2:])]))
 
-    # -- recognition and exact division -------------------------------------
+    # -- recognition -----------------------------------------------------------
 
     def as_monomial(self) -> tuple[int, int] | None:
         """Write self as m * w^j if possible, preferring the smallest j.
@@ -231,37 +220,6 @@ class CycInt:
         if any(self.coeffs[1:]):
             raise ValueError(f"{self!r} is not a rational integer")
         return self.coeffs[0]
-
-    def divexact_int(self, m: int) -> CycInt:
-        """Divide by a nonzero integer, raising unless every coefficient divides."""
-        if m == 0:
-            raise ZeroDivisionError("division by zero")
-        out = []
-        for a in self.coeffs:
-            d, r = divmod(a, m)
-            if r:
-                raise ValueError(f"{self!r} is not divisible by {m}")
-            out.append(d)
-        return CycInt(self.p, tuple(out))
-
-    def divexact(self, other: "CycInt | int") -> CycInt:
-        """Exact division in Z[w]; raises unless the quotient lies in the ring.
-
-        Multiplies by the remaining conjugates of the divisor and divides by
-        its (rational integer) norm.
-        """
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot divide CycInt by {type(other).__name__}")
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero")
-        num = self
-        nrm = o
-        for s in range(2, self.p):
-            g = o.galois(s)
-            num = num * g
-            nrm = nrm * g
-        return num.divexact_int(nrm.to_int())
 
     # -- serialization and display -------------------------------------------
 

@@ -68,6 +68,14 @@ def subspaces_from_matrix_batch(q: int, mats: np.ndarray) -> list["Subspace"]:
     ]
 
 
+def free_positions(n: int, pivots) -> list[tuple[int, int]]:
+    """The free entries (i, j) of the Schubert cell with the given pivot
+    rows, column-major: below the pivot of column j and off every other
+    pivot row."""
+    pivot_set = set(pivots)
+    return [(i, j) for j, r in enumerate(pivots) for i in range(r + 1, n) if i not in pivot_set]
+
+
 _INT = frozenset((int,))
 
 
@@ -157,13 +165,7 @@ class Subspace:
                     if rows[i][j]:
                         pivots.append(i)
                         break
-            pivot_set = set(pivots)
-            free = tuple(
-                rows[i][j]
-                for j in range(self.k)
-                for i in range(pivots[j] + 1, self.n)
-                if i not in pivot_set
-            )
+            free = tuple(rows[i][j] for i, j in free_positions(self.n, pivots))
             key = (self.k, tuple(pivots), free)
             object.__setattr__(self, "_skey", key)
         return key

@@ -5,7 +5,10 @@ embedded F_q^n pointwise: the vector a sends (b, c) to (b + c*a, c).  The
 action permutes the subspaces NOT contained in F_q^n; its orbits are the
 fibers of X -> X intersect F_q^n.  Characters are indexed by vectors c with
 chi_c(a) = w^(c.a), and the associated (unnormalized) isotypic projections
-p(chi) decompose the span of those subspaces.  The maps built here (theta,
+p(chi) decompose the span of those subspaces.  The group is enumerated once,
+as the rows of ``all_coordinate_vectors(n, q)`` in lexicographic order: the
+orbit tables, the exponents c.a and the characters all index that one array,
+whose row 0 is the identity.  The maps built here (theta,
 the character projections, and the rank-raising gamma) realize the
 Goldman-Rota recurrence at the level of vector spaces and drive the Jordan
 basis construction in :mod:`qjordan.sjb`.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 import numpy as np
 
@@ -33,12 +35,6 @@ from .lattice import (
 )
 from .qcombinatorics import galois_number
 from .reporting import Check, Report
-
-
-@cache
-def group_vectors(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """All of F_q^n in lexicographic order; the group underlying the action."""
-    return tuple(product(range(q), repeat=n))
 
 
 @dataclass(frozen=True)
@@ -61,15 +57,12 @@ class Character:
     def is_trivial(self) -> bool:
         return not any(self.c)
 
-    def exponent(self, a: tuple[int, ...]) -> int:
-        return sum(ci * ai for ci, ai in zip(self.c, a)) % self.q
 
-
-def characters(n: int, q: int, include_trivial: bool = False):
-    """The characters of F_q^n in lexicographic order of their index vectors."""
-    for c in group_vectors(n, q):
-        if include_trivial or any(c):
-            yield Character(q, c)
+def characters(n: int, q: int):
+    """The nontrivial characters of F_q^n in lexicographic order of their
+    index vectors: every group vector but the first, which is zero."""
+    for c in all_coordinate_vectors(n, q)[1:].tolist():
+        yield Character(q, c)
 
 
 @dataclass(frozen=True)
@@ -77,16 +70,13 @@ class OrbitTable:
     """Orbit of one subspace with the full action table.
 
     orbit        -- the distinct images, sorted canonically
-    self_index   -- position of the base subspace in ``orbit``
     group_index  -- group_index[g] = position of (g . base) for the g-th
-                    group vector in lexicographic order
-    stabilizer   -- indices g with (g . base) = base
+                    group vector in lexicographic order; group vector 0 is
+                    the identity, so group_index[0] is the base's position
     """
 
     orbit: tuple[Subspace, ...]
-    self_index: int
     group_index: tuple[int, ...]
-    stabilizer: tuple[int, ...]
 
 
 @cache
@@ -103,15 +93,13 @@ def orbit_table(x: Subspace) -> OrbitTable:
     images = subspaces_from_matrix_batch(q, mats)
     orbit = tuple(sorted(set(images), key=Subspace.sort_key))
     position = {s: i for i, s in enumerate(orbit)}
-    group_index = tuple(position[img] for img in images)
-    self_index = position[x]
-    stabilizer = tuple(g for g, idx in enumerate(group_index) if idx == self_index)
-    return OrbitTable(orbit, self_index, group_index, stabilizer)
+    return OrbitTable(orbit, tuple(position[img] for img in images))
 
 
 @cache
 def _char_exponents(q: int, c: tuple[int, ...]) -> tuple[int, ...]:
-    """c . a mod q for every group vector a, aligned with group_vectors."""
+    """c . a mod q for every group vector a, in the lexicographic order of
+    ``all_coordinate_vectors``."""
     vecs = all_coordinate_vectors(len(c), q)
     return tuple(int(e) for e in vecs @ np.asarray(c, dtype=np.int64) % q)
 
@@ -150,18 +138,20 @@ def find_hyperplane(chi: Character, n: int) -> Subspace:
     """The unique hyperplane of F_q^n whose raised class survives p(chi).
 
     p(chi) of x-hat survives exactly when chi is trivial on the stabilizer
-    of x-hat.
+    of x-hat: the group vectors that send x-hat to where the identity,
+    group vector 0, sends it.
     """
     if chi.is_trivial:
         raise ValueError("find_hyperplane requires a nontrivial character")
     if chi.n != n:
         raise ValueError(f"character indexed by F_{chi.q}^{chi.n}, asked for n={n}")
-    vectors = group_vectors(n, chi.q)
-    found = [
-        x
-        for x in enumerate_rank(n, n - 1, chi.q)
-        if all(chi.exponent(vectors[g]) == 0 for g in orbit_table(x.hat()).stabilizer)
-    ]
+    exponents = _char_exponents(chi.q, chi.c)
+
+    def trivial_on_stabilizer(x: Subspace) -> bool:
+        index = orbit_table(x.hat()).group_index
+        return all(e == 0 for e, g in zip(exponents, index) if g == index[0])
+
+    found = [x for x in enumerate_rank(n, n - 1, chi.q) if trivial_on_stabilizer(x)]
     if len(found) != 1:
         raise RuntimeError(
             f"expected exactly one surviving hyperplane for c={chi.c}, found {len(found)}"
@@ -236,7 +226,7 @@ def verify_decomposition(n: int, q: int) -> Report:
         (
             f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
             for x, img in zip(xs, theta_images)
-            if {s.k for s in img.support()} != {x.k + 1}
+            if img.ranks() != {x.k + 1}
         ),
         "",
     )
@@ -245,7 +235,7 @@ def verify_decomposition(n: int, q: int) -> Report:
         (
             f"gamma image of {y!r} under c={chi.c} has wrong rank"
             for (chi, y), img in zip(pairs, gamma_images)
-            if {s.k for s in img.support()} != {y.k + 1}
+            if img.ranks() != {y.k + 1}
         ),
         "",
     )

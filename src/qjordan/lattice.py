@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import CycInt
-from .gflinalg import Subspace, inv_table, subspaces_from_matrix_batch
+from .gflinalg import Subspace, free_positions, inv_table, subspaces_from_matrix_batch
 from .qcombinatorics import json_int, q_binomial
 
 
@@ -34,13 +34,7 @@ def enumerate_rank(n: int, k: int, q: int) -> tuple[Subspace, ...]:
         template = np.zeros((n, k), dtype=np.int64)
         for j, r in enumerate(pivots):
             template[r, j] = 1
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for j in range(k)
-            for i in range(pivots[j] + 1, n)
-            if i not in pivot_set
-        ]
+        free = free_positions(n, pivots)
         if not free:
             out.append(Subspace._make(q, n, template))
             continue
@@ -218,17 +212,10 @@ class LatticeVector:
     def sorted_items(self) -> list[tuple[Subspace, CycInt]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def is_homogeneous(self) -> bool:
-        dims = {s.k for s in self._terms}
-        return len(dims) <= 1
-
-    def rank(self) -> int:
-        """Common dimension of the support; only defined for nonzero
-        homogeneous vectors."""
-        dims = {s.k for s in self._terms}
-        if len(dims) != 1:
-            raise ValueError("rank is defined only for nonzero homogeneous vectors")
-        return dims.pop()
+    def ranks(self) -> set[int]:
+        """The dimensions of the subspaces in the support: {r} exactly when
+        the vector is nonzero and homogeneous of rank r."""
+        return {s.k for s in self._terms}
 
     def embed(self, ambient: int) -> LatticeVector:
         if ambient == self.n:
@@ -300,17 +287,10 @@ def up_apply(v: LatticeVector) -> LatticeVector:
 def inner(v: LatticeVector, w: LatticeVector) -> CycInt:
     """Standard inner product; conjugate-linear in the second argument."""
     v._check_compatible(w)
+    vt, wt = v._terms, w._terms
     total = CycInt.zero(v.q)
-    if len(w) < len(v):
-        for sub, wc in w.items():
-            vc = v._terms.get(sub)
-            if vc is not None:
-                total = total + vc * wc.conj()
-    else:
-        for sub, vc in v.items():
-            wc = w._terms.get(sub)
-            if wc is not None:
-                total = total + vc * wc.conj()
+    for sub in vt.keys() & wt.keys():
+        total = total + vt[sub] * wt[sub].conj()
     return total
 
 

@@ -98,25 +98,18 @@ def verify_identities(n_max: int, q: int) -> Report:
             )
         )
 
-        bad = ""
-        for k in range(1, n + 2):
-            lhs = q_binomial(n + 1, k, q)
-            rhs = (
-                q_binomial(n, k, q)
-                + q_binomial(n, k - 1, q)
-                + (q**n - 1) * q_binomial(n - 1, k - 1, q)
-            )
-            if lhs != rhs:
-                bad = f"k={k}: {lhs} != {rhs}"
-                break
-        checks.append(Check(f"refined-recursion n={n}", not bad, bad))
-
-        bad = ""
-        for k in range(1, n + 1):
-            lhs = q_binomial(n, k - 1, q)
-            rhs = q_binomial(n - 1, k - 2, q) + q ** (k - 1) * q_binomial(n - 1, k - 1, q)
-            if lhs != rhs:
-                bad = f"k={k}: {lhs} != {rhs}"
-                break
-        checks.append(Check(f"q-pascal n={n}", not bad, bad))
+        # the rank-refined recursion and q-Pascal's rule, each for every k
+        refined = (
+            (k, q_binomial(n + 1, k, q), q_binomial(n, k, q) + q_binomial(n, k - 1, q)
+             + (q**n - 1) * q_binomial(n - 1, k - 1, q))
+            for k in range(1, n + 2)
+        )
+        pascal = (
+            (k, q_binomial(n, k - 1, q),
+             q_binomial(n - 1, k - 2, q) + q ** (k - 1) * q_binomial(n - 1, k - 1, q))
+            for k in range(1, n + 1)
+        )
+        for name, sides in (("refined-recursion", refined), ("q-pascal", pascal)):
+            bad = next((f"k={k}: {lhs} != {rhs}" for k, lhs, rhs in sides if lhs != rhs), "")
+            checks.append(Check(f"{name} n={n}", not bad, bad))
     return Report(tuple(checks))

@@ -89,7 +89,7 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
         raise ValueError(f"relation index must lie in 0..{m}, got {i}")
     if v.is_zero:
         return v
-    if not v.is_homogeneous() or v.rank() != m:
+    if v.ranks() != {m}:
         raise ValueError(f"input must be homogeneous of rank {m}")
     vertices, index_of, rel = _relations(v.q, n, m)
     # keyed by vertex index: an int hashes in C, a Subspace in Python
@@ -191,10 +191,9 @@ def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool
 
 
 def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> int:
-    if vec.is_zero:
-        raise EigenStructureError(f"chain {ci}: the rank-{m} vector is zero")
-    if any(sub.k != m for sub in vec.support()):
-        raise EigenStructureError(f"chain {ci}: the rank-{m} vector has a term off rank {m}")
+    if vec.ranks() != {m}:
+        fault = "is zero" if vec.is_zero else f"has a term off rank {m}"
+        raise EigenStructureError(f"chain {ci}: the rank-{m} vector {fault}")
     image = adjacency_apply(n, m, i, vec)
     base_sub, base_coeff = vec.sorted_items()[0]
     image_base = image.coeff(base_sub)
@@ -208,12 +207,13 @@ def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> 
         raise EigenStructureError(
             f"chain {ci}: not an eigenvector of A_{i} at coordinate {sub!r}"
         )
-    try:
-        return image_base.divexact(base_coeff).to_int()
-    except ValueError as exc:
-        raise EigenStructureError(
-            f"chain {ci}: eigenvalue of A_{i} is not a rational integer"
-        ) from exc
+    # the eigenvalue image_base / base_coeff must be a rational integer: read
+    # it off one nonzero slot and check it on all (Z[w] has no zero divisors)
+    j = next(j for j, a in enumerate(base_coeff.coeffs) if a)
+    lam, rest = divmod(image_base.coeffs[j], base_coeff.coeffs[j])
+    if rest or image_base != base_coeff * lam:
+        raise EigenStructureError(f"chain {ci}: eigenvalue of A_{i} is not a rational integer")
+    return lam
 
 
 def laplacian_spectrum(n: int, m: int, q: int) -> tuple[tuple[int, int], ...]:

@@ -170,7 +170,7 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
             if chain.end_rank != n - k:
                 yield f"chain {ci} (start {k}) ends at {chain.end_rank}, not {n - k}"
             for rank, vec in enumerate(chain.vectors, k):
-                if vec.is_zero or not vec.is_homogeneous() or vec.rank() != rank:
+                if vec.ranks() != {rank}:
                     yield f"chain {ci} (start {k}), rank {rank}: not homogeneous of that rank"
                 if vec.q != q or vec.n != n:
                     yield f"chain {ci}, rank {rank}: wrong ambient space"
@@ -201,9 +201,13 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     def norm_faults():
         for ci, chain in enumerate(basis.chains):
             k = chain.start_rank
+            if k < 0:
+                continue  # no singular value is defined; chain-shape fails it
             # compared in Z[w]: a tampered coefficient can make a norm irrational
             norms = [inner(v, v) for v in chain.vectors]
-            for u in range(k, n - k):
+            # only the consecutive norms the chain has: a chain that stops
+            # short of rank n-k fails chain-shape
+            for u in range(k, min(chain.end_rank, n - k)):
                 expect = singular_value_sq(q, n, k, u) * norms[u - k]
                 if norms[u + 1 - k] != expect:
                     yield f"chain {ci} (start {k}): |x_{u + 1}|^2 = {norms[u + 1 - k]} != {expect}"
@@ -289,7 +293,11 @@ def sjb_from_json(obj) -> SJB:
                     raise ValueError("vector does not match the basis header")
                 vectors.append(LatticeVector.from_json(v))
             start = json_int(entry["start_rank"], "start_rank")
+            if start < 0:
+                raise ValueError(f"start_rank must be >= 0, got {start}")
             chains.append(JordanChain(start, tuple(vectors)))
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
     except (TypeError, AttributeError, IndexError, OverflowError) as exc:

@@ -1,7 +1,29 @@
-"""Exact rank over the fraction field of Z[w]: the exact spanning certificate
-of test_sjb."""
+"""Exact rank over the fraction field of Z[w] (the exact spanning certificate
+of test_sjb), with the Galois action and exact division in Z[w] it rests on.
+The package itself needs neither: its one automorphism is ``CycInt.conj``
+and it divides nothing in Z[w]."""
 
 from qjordan import CycInt
+
+
+def galois(a: CycInt, s: int) -> CycInt:
+    """The automorphism w -> w^s of Z[w] (s prime to p), term by term."""
+    assert s % a.p, "w -> w^0 is not an automorphism"
+    return sum((CycInt.monomial(a.p, c, j * s) for j, c in enumerate(a.coeffs)), CycInt.zero(a.p))
+
+
+def divexact(a: CycInt, b: CycInt) -> CycInt:
+    """a / b in Z[w]: a times the conjugates of b other than b, over the
+    norm of b (a rational integer); raises unless the quotient is in Z[w]."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero")
+    num, norm = a, b
+    for s in range(2, a.p):
+        num, norm = num * galois(b, s), norm * galois(b, s)
+    quotients = [divmod(c, norm.to_int()) for c in num.coeffs]
+    if any(r for _, r in quotients):
+        raise ValueError(f"{a!r} is not divisible by {b!r}")
+    return CycInt(a.p, tuple(d for d, _ in quotients))
 
 
 def cyc_matrix_rank(rows: list[list[CycInt]]) -> int:
@@ -37,7 +59,7 @@ def cyc_matrix_rank(rows: list[list[CycInt]]) -> int:
         for i in range(rank + 1, nr):
             for j in range(rank + 1, nc):
                 t = m[i][j] * piv - m[i][rank] * m[rank][j]
-                m[i][j] = t if prev is None else t.divexact(prev)
+                m[i][j] = t if prev is None else divexact(t, prev)
             m[i][rank] = CycInt.zero(piv.p)
         prev = piv
         rank += 1

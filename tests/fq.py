@@ -82,6 +82,22 @@ def restrict(x, ambient):
     return Subspace.from_matrix(x.q, x.matrix[:ambient])
 
 
+@cache
+def group_vectors(n, q):
+    """All of F_q^n in lexicographic order, as tuples: the translation group."""
+    return tuple(product(range(q), repeat=n))
+
+
+def exponent(chi, a):
+    """c . a mod q: chi_c(a) = w^exponent."""
+    return sum(ci * ai for ci, ai in zip(chi.c, a)) % chi.q
+
+
+def stabilizer(x):
+    """The group vectors that fix x, a subspace outside the hyperplane."""
+    return tuple(a for a in group_vectors(x.n - 1, x.q) if act(a, x) is x)
+
+
 def act(a, x):
     """Image of x under the group vector a."""
     n, q = x.n - 1, x.q
@@ -120,7 +136,7 @@ def character_multiplicity(chi, n, k):
     q = chi.q
     total = CycInt.zero(q)
     for a, count in fixed_points(n, k, q).items():
-        total = total + CycInt.omega(q, -chi.exponent(a) % q) * count
+        total = total + CycInt.omega(q, -exponent(chi, a) % q) * count
     mult, rem = divmod(total.to_int(), q**n)
     assert not rem, f"character inner product {total} not divisible by {q**n}"
     return mult

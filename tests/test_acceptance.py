@@ -32,10 +32,10 @@ from qjordan import (
     verify_sjb,
 )
 from qjordan.cli import main as cli_main
-from qjordan.haction import characters, group_vectors
+from qjordan.haction import characters
 
 from charpoly import charpoly_matches
-from fq import character_multiplicity, perm_character
+from fq import character_multiplicity, group_vectors, perm_character
 
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qjordan import construct_sjb, sjb_from_json, sjb_to_json
+from qjordan import construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 from qjordan.cli import main
 
 
@@ -38,9 +38,15 @@ def test_construct_rejects_nonprime_q(capsys):
 
 
 def test_usage_error_on_bad_m(capsys):
-    code, _, err = run_cli(capsys, "scheme", "--q", "2", "--n", "4", "--m", "3")
-    assert code == 2
-    assert "m must satisfy" in err
+    cases = {
+        ("scheme", "--q", "2", "--n", "4", "--m", "3"): "m must satisfy",
+        # the Johnson identity compares ranks m and m-1, so m = 0 has none
+        ("johnson", "--n", "4", "--m", "0"): "johnson needs m >= 1",
+    }
+    for argv, message in cases.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err, argv
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -216,6 +222,7 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "q4.json": json.dumps(header_q4),
         "coeff.json": json.dumps(bad_coeff),
         "dependent.json": json.dumps(dependent),
+        "n_neg.json": json.dumps({"q": 2, "n": -3, "chains": []}),
     }
     # non-integers that int() would truncate to a sound value
     sound_23 = sjb_to_json(construct_sjb(3, 2))
@@ -230,6 +237,7 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "col_3.json": (pivot, 3),
         "col_neg.json": (pivot, -1),
         "start_float.json": (("chains", 0, "start_rank"), 0.5),
+        "start_neg.json": (("chains", 0, "start_rank"), -1),
         "q_string.json": (("q",), "2"),
     }
     for name, (path, value) in edits.items():
@@ -248,6 +256,20 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         assert code == 2, path.name
         assert out == "" and "Traceback" not in err, path.name
         assert err.count("\n") == 1 and err.startswith("error: "), (path.name, err)
+
+
+def test_chain_that_stops_short_fails_chain_shape(tmp_path, capsys):
+    doc = sjb_to_json(construct_sjb(3, 2))
+    del doc["chains"][0]["vectors"][-1]  # the chain from rank 0 now ends at 2
+    report = verify_sjb(sjb_from_json(doc))
+    # U of its last vector is no longer zero; its norms so far still agree
+    assert [c.name for c in report.failures()] == ["total-count", "chain-shape", "chain-condition"]
+    assert report.failures()[1].detail == "chain 0 (start 0) ends at 2, not 3"
+    path = tmp_path / "short_chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and json.loads(out) == report.to_json()
+    assert "Traceback" not in err
 
 
 def test_field_order_above_the_int8_cap_exits_2(tmp_path, capsys):

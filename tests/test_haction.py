@@ -22,9 +22,11 @@ from qjordan import (
     up_apply,
     verify_decomposition,
 )
-from qjordan.haction import group_vectors, orbit_table
+import qjordan.haction as haction
+from qjordan.haction import orbit_table
 
-from fq import act, character_multiplicity, h_map, perm_character
+from fq import act, character_multiplicity, exponent, group_vectors, h_map
+from fq import perm_character, stabilizer
 
 
 def A_elements(ambient, q, k=None):
@@ -39,8 +41,8 @@ def A_elements(ambient, q, k=None):
 
 
 def test_group_vector_enumeration_alignment():
-    # orbit tables pair histogram indices with group_vectors positions, so
-    # the numpy enumeration must match the tuple enumeration exactly
+    # the package indexes the group by the rows of all_coordinate_vectors;
+    # the tuple reference the tests use must list it in the same order
     from qjordan.lattice import all_coordinate_vectors
 
     for q, n in [(2, 3), (3, 2), (5, 1), (2, 0)]:
@@ -97,8 +99,7 @@ def test_orbit_stabilizer():
     for q, ambient in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
         n = ambient - 1
         for x in A_elements(ambient, q):
-            table = orbit_table(x)
-            assert len(table.orbit) * len(table.stabilizer) == q**n
+            assert len(orbit_table(x).orbit) * len(stabilizer(x)) == q**n
 
 
 def test_p_chi_trivial_character_sums_orbit():
@@ -107,7 +108,7 @@ def test_p_chi_trivial_character_sums_orbit():
         trivial = Character(q, (0,) * n)
         for x in A_elements(ambient, q):
             v = p_chi(trivial, x)
-            stab = len(orbit_table(x).stabilizer)
+            stab = len(stabilizer(x))
             assert set(v.support()) == set(orbit_table(x).orbit)
             assert all(c.to_int() == stab for _, c in v.items())
 
@@ -131,11 +132,9 @@ def test_p_chi_worked_example_q3():
 def test_p_chi_vanishing_matches_stabilizer_criterion():
     for q, ambient in [(2, 3), (3, 3)]:
         n = ambient - 1
-        vectors = group_vectors(n, q)
-        for chi in characters(n, q, include_trivial=True):
+        for chi in [Character(q, c) for c in group_vectors(n, q)]:
             for x in A_elements(ambient, q):
-                stab = orbit_table(x).stabilizer
-                trivial_on_stab = all(chi.exponent(vectors[g]) == 0 for g in stab)
+                trivial_on_stab = all(exponent(chi, a) == 0 for a in stabilizer(x))
                 assert p_chi(chi, x).is_zero != trivial_on_stab
 
 
@@ -174,7 +173,7 @@ def test_find_hyperplane_examples_and_kernel_characterization():
             kernel = [
                 v
                 for v in group_vectors(n, q)
-                if chi.exponent(v) == 0
+                if exponent(chi, v) == 0
             ]
             kernel_sub = Subspace.span(q, n, kernel)
             assert hyper == kernel_sub
@@ -258,8 +257,6 @@ def test_verify_decomposition_small():
 
 
 def test_theta_scaling_names_a_scaled_image(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     target, later = enumerate_rank(n, 1, q)[2], enumerate_rank(n, 2, q)[0]
     original = haction.theta
@@ -278,8 +275,6 @@ def test_theta_scaling_names_a_scaled_image(monkeypatch):
 
 
 def test_gamma_scaling_names_a_scaled_image(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     chi = list(characters(n, q))[3]
     target = enumerate_rank(n - 1, 1, q)[0]
@@ -334,8 +329,6 @@ def _decomposition_detail(n, q, name):
 
 
 def test_rankset_trivial_block_names_the_first_bad_image(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     subs = enumerate_all(n, q)
     bad = [LatticeVector.basis(subs[5]), LatticeVector.basis(subs[2])]
@@ -353,8 +346,6 @@ def test_rankset_trivial_block_names_the_first_bad_image(monkeypatch):
 
 
 def test_rankset_character_blocks_names_the_first_bad_image(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 3, 2
     chars, ys = list(characters(n, q)), enumerate_all(n - 1, q)
     # block order first: (chars[1], ys[3]) precedes (chars[4], ys[0])
@@ -374,8 +365,6 @@ def test_rankset_character_blocks_names_the_first_bad_image(monkeypatch):
 
 
 def test_up_splitting_names_the_first_bad_subspace(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     subs = enumerate_all(n, q)
     # U_n is doubled on these inputs, so U_(n+1) x != U_n x + theta x there
@@ -391,8 +380,6 @@ def test_up_splitting_names_the_first_bad_subspace(monkeypatch):
 
 
 def test_zero_images_fail_the_rank_checks(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     x = enumerate_all(n, q)[3]
     y = enumerate_all(n - 1, q)[1]
@@ -425,8 +412,6 @@ def test_zero_images_fail_the_rank_checks(monkeypatch):
 
 
 def test_verify_decomposition_applies_up_only_below_the_top_level(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     ambients = []
     original = haction.up_apply
@@ -444,8 +429,6 @@ def test_verify_decomposition_applies_up_only_below_the_top_level(monkeypatch):
 
 
 def test_theta_intertwining_names_the_first_bad_subspace(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     subs = enumerate_all(n, q)
     bad = [LatticeVector.basis(subs[i]) for i in (4, 3)]
@@ -462,8 +445,6 @@ def test_theta_intertwining_names_the_first_bad_subspace(monkeypatch):
 
 
 def test_gamma_intertwining_names_the_first_bad_pair(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 3, 2
     chars, ys = list(characters(n, q)), enumerate_all(n - 1, q)
     # characters are the outer loop: (chars[2], ys[2]) precedes (chars[5], ys[0]);
@@ -483,8 +464,6 @@ def test_gamma_intertwining_names_the_first_bad_pair(monkeypatch):
 
 
 def test_characters_per_hyperplane_names_the_first_bad_hyperplane(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     hyperplanes = enumerate_rank(n, n - 1, q)
     bad = {hyperplanes[3].hat(), hyperplanes[1].hat()}
@@ -502,8 +481,6 @@ def test_characters_per_hyperplane_names_the_first_bad_hyperplane(monkeypatch):
 
 
 def test_block_orthogonality_tests_theta_rows_against_the_whole_lattice(monkeypatch):
-    import qjordan.haction as haction
-
     n, q = 2, 3
     zero = Subspace.zero(q, n)
     stray = LatticeVector.basis(enumerate_rank(n, 1, q)[2].embed(n + 1))

@@ -145,16 +145,15 @@ def test_space_mismatch_rejected():
 
 
 def test_homogeneity_and_rank():
-    zero = LatticeVector.zero(2, 2)
-    assert zero.is_homogeneous()
-    with pytest.raises(ValueError):
-        zero.rank()
+    # ranks() == {r} says "nonzero and homogeneous of rank r"
+    assert LatticeVector.zero(2, 2).ranks() == set()
     v = LatticeVector.basis(Subspace.zero(2, 2)) + LatticeVector.basis(
         Subspace.full(2, 2)
     )
-    assert not v.is_homogeneous()
+    assert v.ranks() == {0, 2}
     line = LatticeVector.basis(Subspace.span(2, 2, [(1, 1)]))
-    assert line.is_homogeneous() and line.rank() == 1
+    assert line.ranks() == {1}
+    assert (line + LatticeVector.basis(Subspace.span(2, 2, [(1, 0)]))).ranks() == {1}
 
 
 def test_vector_json_roundtrip():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -35,11 +36,13 @@ from qjordan import (
     sjb_to_json,
     ud_du_count,
 )
+import qjordan.scheme as scheme
 from qjordan.qcombinatorics import is_prime
 from qjordan.scheme import _det_prime, _is_prime_u32, _relations
 from qjordan.sjb import SJB, JordanChain
 
 from charpoly import charpoly_matches
+from cycrank import divexact
 from fq import contains, intersect
 
 
@@ -137,22 +140,12 @@ def test_eigentable_rejects_foreign_basis(basis_for):
 
 
 def test_eigentable_detects_broken_vector(basis_for):
-    import copy
-
-    from qjordan.sjb import SJB, JordanChain
-
     basis = basis_for(2, 4)
-    chains = list(basis.chains)
-    target = next(i for i, c in enumerate(chains) if c.start_rank <= 2 <= c.end_rank)
-    chain = chains[target]
-    vecs = list(chain.vectors)
-    idx = 2 - chain.start_rank
-    sub, coeff = vecs[idx].sorted_items()[0]
-    broken = vecs[idx] + LatticeVector(2, 4, {sub: 1})
-    vecs[idx] = broken
-    chains[target] = JordanChain(chain.start_rank, tuple(vecs))
+    target = next(i for i, c in enumerate(basis.chains) if c.start_rank <= 2 <= c.end_rank)
+    vec = basis.chains[target].vector_at_rank(2)
+    sub, _ = vec.sorted_items()[0]
     with pytest.raises(EigenStructureError):
-        eigentable(4, 2, SJB(2, 4, tuple(chains)))
+        eigentable(4, 2, _with_vector(basis, 2, target, vec + LatticeVector(2, 4, {sub: 1})))
 
 
 def closed_form_eigenvalue(q, n, m, i, k):
@@ -242,7 +235,6 @@ def test_bareiss_det():
     with pytest.raises(ValueError):
         bareiss_det([[1, 2]])
     # permutation-expansion oracle on random 4x4 integer matrices
-    import random
     from itertools import permutations
 
     rng = random.Random(77)
@@ -264,8 +256,6 @@ def test_bareiss_det():
 
 
 def test_bareiss_det_matches_python_int_reference():
-    import random
-
     rng = random.Random(2024)
     mats = []
     # entries past 2^31 and negative: the int64 path (< 2^63) and the
@@ -325,10 +315,6 @@ def test_det_prime_table():
 
 @pytest.mark.parametrize("bits, period", [(26, 1), (26, 2), (31, 1)])
 def test_bareiss_det_with_a_short_reduction_period(monkeypatch, bits, period):
-    import random
-
-    import qjordan.scheme as scheme
-
     # the default period certifies int64: fewer than 2^10 products of two
     # residues below 2^26 stack onto a reduced entry; so does each case here,
     # and at 2^31 only a full reduction after every step keeps that bound
@@ -547,7 +533,7 @@ def _first_eigen_fault(n, m, basis):
             for sub in coords:
                 if image.coeff(sub) * base_coeff != image_base * vec.coeff(sub):
                     return f"chain {ci}: not an eigenvector of A_{i} at coordinate {sub!r}"
-            row.append(image_base.divexact(base_coeff).to_int())
+            row.append(divexact(image_base, base_coeff).to_int())
         k, row = chain.start_rank, tuple(row)
         if by_start.setdefault(k, row) != row:
             return (
@@ -621,11 +607,27 @@ def test_eigentable_fault_on_a_later_chain_of_its_start_rank(basis_for, fault):
         assert str(info.value) == _first_eigen_fault(n, m, broken)
 
 
+@pytest.mark.parametrize("image", ["w * v", "3/2 * v"])
+def test_eigentable_rejects_an_eigenvalue_that_is_not_a_rational_integer(
+    basis_for, monkeypatch, image
+):
+    q, n, m = 3, 4, 2
+    basis = basis_for(q, n)
+    ci = _chains_through(basis, m, 0)[0]  # chains are sorted by start rank
+    if image == "w * v":
+        fake = lambda n, m, i, v: v * CycInt.omega(q)  # an exact eigenvector
+    else:  # a doubled vector, so that 3/2 of it has integer coefficients
+        basis = _with_vector(basis, m, ci, basis.chains[ci].vector_at_rank(m) * 2)
+        fake = lambda n, m, i, v: LatticeVector(
+            q, n, {s: CycInt(q, tuple(3 * a // 2 for a in c.coeffs)) for s, c in v.items()}
+        )
+    monkeypatch.setattr(scheme, "adjacency_apply", fake)
+    with pytest.raises(EigenStructureError) as info:
+        eigentable(n, m, basis)
+    assert str(info.value) == f"chain {ci}: eigenvalue of A_0 is not a rational integer"
+
+
 def test_eigentable_in_small_blocks_any_chain_order_and_past_int64(basis_for, monkeypatch):
-    import random
-
-    import qjordan.scheme as scheme
-
     q, n, m = 2, 4, 2
     basis = basis_for(q, n)
     expect = eigentable(n, m, basis)

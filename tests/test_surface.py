@@ -13,6 +13,7 @@ ENTRY_POINTS = {
     "active_backend",  # the benchmark records which kernel ran
     "check_theorem_gg",  # the benchmark's trees workload runs it
     "omega",  # CycInt.omega: the root of unity w, a constructor for users
+    "to_int",  # CycInt.to_int: a rational integer value as an int, for users
     "span",  # Subspace.span: a subspace from spanning vectors
     "full",  # Subspace.full: the whole ambient space
 }
