@@ -27,6 +27,10 @@ from .qcombinatorics import is_prime, json_int
 # larger field would wrap its entries and merge distinct subspaces.  The cap
 # also keeps trial division off a huge untrusted q.
 MAX_FIELD_ORDER = 128
+# A basis file's header n is capped too: G(64, 2) has 310 digits, and a far
+# larger n passes Python's int-to-str digit limit or the recursion depth of
+# q_binomial.
+MAX_AMBIENT_DIM = 64
 
 
 @cache

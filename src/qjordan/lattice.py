@@ -267,7 +267,7 @@ def _accumulate(pairs: Iterable[tuple[Hashable, CycInt]]) -> dict:
     """Sum the values of (key, value) pairs by key, in order of first sight.
 
     The one sum behind every linear map given by the images of basis
-    subspaces (U, theta, gamma, the A_i).  A key met once keeps its value
+    subspaces (U, theta, gamma).  A key met once keeps its value
     unchanged, with no add against a zero; a sum that cancels stays in the
     result as zero, and ``LatticeVector._of`` drops it.
     """

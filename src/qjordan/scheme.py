@@ -2,14 +2,16 @@
 
 The adjacency operator A_i on m-subspaces connects X and Y exactly when
 dim(X  intersect Y) = m - i, so every A_i is read off one cached relation
-matrix R[X, Y] = m - dim(X intersect Y) as A_i = [R == i].  The rank-m
-vectors of a symmetric Jordan basis are a common eigenbasis of all the A_i;
-eigenvalues are extracted from the constructed basis (with a full
-coordinate consistency check) rather than hard-coded.  Spanning-tree counts
-come in two independent flavors: the eigenvalue product formula and an
-exact matrix-tree determinant.  The determinant is taken modulo word-size
-primes and lifted by the Chinese remainder theorem; the primes' product
-exceeds twice the Hadamard bound, which certifies the lifted integer.
+matrix R[X, Y] = m - dim(X intersect Y) as A_i = [R == i], and A_i v is
+summed by coefficient class.  The rank-m vectors of a symmetric Jordan
+basis are a common eigenbasis of all the A_i; eigenvalues are extracted
+from the constructed basis (with a full coordinate consistency check)
+rather than hard-coded.  Spanning-tree counts come in two independent
+flavors: the eigenvalue product formula and an exact matrix-tree
+determinant.  The determinant is taken modulo word-size primes and lifted
+by the Chinese remainder theorem; the primes' product exceeds twice the
+Hadamard bound, taken from the exact product of the squared row norms,
+which certifies the lifted integer.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from math import comb
 import numpy as np
 
 from . import _kernels
+from .cyclotomic import CycInt
 from .gflinalg import Subspace, inv_table
 from .lattice import (
     LatticeVector,
-    _accumulate,
     _max_coeff,
     _plane_dtype,
     _planes,
@@ -83,7 +85,13 @@ def _relations(q: int, n: int, m: int):
 
 
 def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
-    """(A_i v)(X) = sum of v(Y) over Y with dim(X intersect Y) = m - i."""
+    """(A_i v)(X) = sum of v(Y) over Y with dim(X intersect Y) = m - i.
+
+    Summed by coefficient class: (A_i v)(X) = sum_c N_c(X) c over the
+    distinct values c of v, N_c(X) being the count of Y with v(Y) = c and
+    R[X, Y] = i.  X takes one add per class past its first; terms come in
+    ascending vertex order.
+    """
     _check_m(n, m)
     if not 0 <= i <= m:
         raise ValueError(f"relation index must lie in 0..{m}, got {i}")
@@ -91,14 +99,22 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
         return v
     if v.ranks() != {m}:
         raise ValueError(f"input must be homogeneous of rank {m}")
-    vertices, index_of, rel = _relations(v.q, n, m)
-    # keyed by vertex index: an int hashes in C, a Subspace in Python
-    acc = _accumulate(
-        (x, coeff)
-        for sub, coeff in v.items()
-        for x in np.flatnonzero(rel[index_of[sub]] == i).tolist()
-    )
-    return LatticeVector._of(v.q, n, {vertices[x]: acc[x] for x in sorted(acc)})
+    q = v.q
+    vertices, index_of, rel = _relations(q, n, m)
+    classes: dict[CycInt, list[int]] = {}
+    for sub, coeff in v.items():
+        classes.setdefault(coeff, []).append(index_of[sub])
+    # R is symmetric: a class's rows give its column counts
+    counts = np.stack([(rel[cols] == i).sum(axis=0) for cols in classes.values()], axis=1)
+    terms = {}
+    for x in np.flatnonzero(counts.any(axis=1)).tolist():
+        parts = [
+            CycInt._raw(q, tuple([k * a for a in c.coeffs]))
+            for c, k in zip(classes, counts[x].tolist())
+            if k
+        ]
+        terms[vertices[x]] = sum(parts[1:], parts[0])
+    return LatticeVector._of(q, n, terms)
 
 
 def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
@@ -159,8 +175,8 @@ def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool
     every i, with lambda its start rank's row in by_start.
 
     The vectors become the (q-1, rows, nv) coefficient planes over the
-    vertices of _relations, and each relation takes one product of the
-    planes with [R == i].  int64 is used only when (nv + max|lambda|) max|coeff|
+    vertices of _relations, and each relation takes one product of each
+    plane with [R == i].  int64 is used only when (nv + max|lambda|) max|coeff|
     < 2^63 bounds every entry on both sides; otherwise the planes hold
     Python ints.  A zero vector, or one with a term off rank m, is not
     judged here: it gets False, like a vector that fails.
@@ -182,10 +198,12 @@ def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool
     ok = np.ones(len(judged), dtype=bool)
     for i in range(m + 1):
         lam = np.array([row[i] for _, row, _ in judged], dtype=dtype)[:, None]
+        adj = (rel == i).astype(dtype)
         # (A_i v)(X) = sum_Y [R[X, Y] == i] v(Y), summed along contiguous
-        # rows of both operands: several times faster than planes @ A_i
-        image = np.einsum("sry,xy->srx", planes, (rel == i).astype(dtype))
-        ok &= (image == lam * planes).all(axis=(0, 2))
+        # rows of both operands (several times faster than plane @ A_i), one
+        # coefficient plane at a time so that the temporaries stay small
+        for plane in planes:
+            ok &= (np.einsum("ry,xy->rx", plane, adj) == lam * plane).all(axis=1)
     verdicts.update(zip((ci for ci, _, _ in judged), ok.tolist()))
     return verdicts
 
@@ -250,6 +268,9 @@ _REDUCE_PERIOD = 1 << 10
 # primes eliminated together: one (4, N, N) int64 block, so memory stays
 # a few times the size of one residue matrix
 _PRIME_BLOCK = 4
+# entries of one elimination-update product (128 kB of int64): a whole
+# (4, N, N) product would double the block's memory
+_UPDATE_BLOCK = 1 << 14
 
 
 def _is_prime_u32(n: int) -> bool:
@@ -297,7 +318,8 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
     entry at or below the diagonal; a column with none leaves a zero pivot,
     so that prime's determinant is 0.  The determinant is the signed
     product of the pivots.  Each step reduces only the pivot column and
-    the pivot row before using them, and the whole trailing block is
+    the pivot row before using them, and updates the trailing rows about
+    _UPDATE_BLOCK product entries at a time; the whole trailing block is
     reduced every _REDUCE_PERIOD steps, which bounds every entry (see
     _REDUCE_PERIOD).
     """
@@ -326,7 +348,10 @@ def _det_mod_primes(mat, primes: list[int]) -> list[int]:
         if k + 1 < size:
             inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
             f = a[:, k + 1 :, k] * np.array(inv, dtype=np.int64)[:, None] % pm
-            a[:, k + 1 :, k + 1 :] -= f[:, :, None] * row[:, None, :]
+            step = max(1, _UPDATE_BLOCK // f.size)
+            for lo in range(0, size - k - 1, step):
+                hi = lo + step
+                a[:, k + 1 + lo : k + 1 + hi, k + 1 :] -= f[:, lo:hi, None] * row[:, None, :]
     return det
 
 
@@ -335,11 +360,11 @@ def bareiss_det(matrix) -> int:
 
     The determinant is taken modulo primes p < 2^26 by Gaussian elimination
     over Z/p (see _det_mod_primes), _PRIME_BLOCK primes at a time, and
-    lifted by the Chinese remainder theorem to the symmetric residue.  The
-    primes are taken until their product M exceeds twice the Hadamard bound
-    H = prod_i 2^ceil(bitlen(sum_j a_ij^2) / 2) >= |det|, so the symmetric
-    residue in (-M/2, M/2] is the determinant itself: the result is exact
-    and certified.  No floating point is used.
+    lifted by the Chinese remainder theorem to the symmetric residue.  With
+    H^2 the exact product of the squared row norms, the Hadamard bound gives
+    |det| <= H < 2^ceil(bitlen(H^2) / 2); primes are taken until their
+    product M exceeds twice that power of two, so the residue in
+    (-M/2, M/2] is the determinant: exact and certified, with no floats.
     """
     rows = [[int(x) for x in row] for row in matrix]
     size = len(rows)
@@ -347,12 +372,13 @@ def bareiss_det(matrix) -> int:
         raise ValueError("determinant needs a square matrix")
     if size == 0:
         return 1
-    log_bound = 0
+    hadamard2 = 1
     for row in rows:
         norm2 = sum(x * x for x in row)
         if not norm2:
             return 0
-        log_bound += (norm2.bit_length() + 1) // 2
+        hadamard2 *= norm2
+    log_bound = (hadamard2.bit_length() + 1) // 2
     primes: list[int] = []
     modulus = 1
     # until modulus > 2H = 2^(log_bound + 1); an odd modulus is never equal

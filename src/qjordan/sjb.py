@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gflinalg import MAX_FIELD_ORDER, Subspace
+from .gflinalg import MAX_AMBIENT_DIM, MAX_FIELD_ORDER, Subspace
 from .haction import characters, gamma, theta
 from .lattice import LatticeVector, gram, inner, up_mismatches
 from .qcombinatorics import galois_number, is_prime, json_int, q_binomial, q_int
@@ -298,6 +298,8 @@ def sjb_from_json(obj) -> SJB:
             chains.append(JordanChain(start, tuple(vectors)))
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
+        if n > MAX_AMBIENT_DIM:
+            raise ValueError(f"n must be at most {MAX_AMBIENT_DIM}, got {n}")
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
     except (TypeError, AttributeError, IndexError, OverflowError) as exc:

@@ -11,6 +11,7 @@ import pytest
 
 from qjordan import construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 from qjordan.cli import main
+from qjordan.gflinalg import MAX_AMBIENT_DIM
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +224,11 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "coeff.json": json.dumps(bad_coeff),
         "dependent.json": json.dumps(dependent),
         "n_neg.json": json.dumps({"q": 2, "n": -3, "chains": []}),
+        # n = 256 passed Python's int-to-str digit limit and n = 600 the
+        # q-binomial recursion depth; the cap + 1 is the least n rejected
+        "n_256.json": json.dumps({"q": 2, "n": 256, "chains": []}),
+        "n_600.json": json.dumps({"q": 2, "n": 600, "chains": []}),
+        "n_cap.json": json.dumps({"q": 2, "n": MAX_AMBIENT_DIM + 1, "chains": []}),
     }
     # non-integers that int() would truncate to a sound value
     sound_23 = sjb_to_json(construct_sjb(3, 2))
@@ -256,6 +262,16 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         assert code == 2, path.name
         assert out == "" and "Traceback" not in err, path.name
         assert err.count("\n") == 1 and err.startswith("error: "), (path.name, err)
+
+
+def test_basis_file_at_the_ambient_cap_is_verified(tmp_path, capsys):
+    path = tmp_path / "n_cap.json"
+    path.write_text(json.dumps({"q": 2, "n": MAX_AMBIENT_DIM, "chains": []}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert not report["ok"]
+    assert report["checks"][0]["name"] == "total-count" and not report["checks"][0]["passed"]
 
 
 def test_chain_that_stops_short_fails_chain_shape(tmp_path, capsys):

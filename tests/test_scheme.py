@@ -297,6 +297,44 @@ def test_bareiss_det_matches_python_int_reference():
     assert bareiss_det(np.array(had)) == bareiss_det(had)
 
 
+@pytest.mark.parametrize("bits", [26, 13, 11, 9])
+def test_bareiss_det_at_the_hadamard_bound(monkeypatch, bits):
+    # |det| of a Sylvester-Hadamard matrix is its Hadamard bound
+    # prod_i ||row_i|| = order^(order/2) exactly: the edge of the certificate.
+    # With primes below 2^13, 2^11 and 2^9, the fewest primes whose product
+    # exceeds H fall short of 2H at orders 8, 16 and 32, so a lift certified
+    # by M > H alone would return the wrong residue there.
+    monkeypatch.setattr(scheme, "_PRIME_BITS", bits)
+    scheme._det_prime.cache_clear()
+    try:
+        for order in (2, 4, 8, 16, 32):
+            had = sylvester_hadamard(order)
+            negated = [[-x for x in had[0]]] + had[1:]
+            swapped = [had[1], had[0]] + had[2:]
+            bound = order ** (order // 2)
+            for mat, sign in ((had, 1), (negated, -1), (swapped, -1)):
+                det = bareiss_det(mat)
+                assert det == python_int_bareiss(mat), (order, sign)
+                assert det == sign * python_int_bareiss(had) and abs(det) == bound
+    finally:
+        scheme._det_prime.cache_clear()
+
+
+def test_bareiss_det_takes_28_primes_for_the_342_laplacian(monkeypatch):
+    # H^2 is the exact product of the squared row norms: 723 bits of bound
+    # for a 714-bit determinant need 28 primes below 2^26 (a bound rounded
+    # up to a power of two per row needed 30)
+    verts, edges = grassmann_graph(3, 4, 2)
+    lap = [row[1:] for row in laplacian_matrix(verts, edges)[1:]]
+    asked = set()
+    prime = scheme._det_prime
+    monkeypatch.setattr(scheme, "_det_prime", lambda i: asked.add(i) or prime(i))
+    det = bareiss_det(lap)
+    assert asked == set(range(28))
+    assert det == python_int_bareiss(lap)
+    assert det.bit_length() == 714
+
+
 def test_det_prime_table():
     primes = [_det_prime(i) for i in range(40)]
     assert len(set(primes)) == len(primes)
@@ -327,6 +365,14 @@ def test_bareiss_det_with_a_short_reduction_period(monkeypatch, bits, period):
         _check_det_against_references(random.Random(2024))
     finally:
         scheme._det_prime.cache_clear()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_bareiss_det_in_small_update_blocks(monkeypatch, block):
+    # one trailing row per update, and blocks that end mid-matrix, give the
+    # reference determinants (the default block covers many rows at once)
+    monkeypatch.setattr(scheme, "_UPDATE_BLOCK", block)
+    _check_det_against_references(random.Random(block))
 
 
 def _check_det_against_references(rng):
@@ -484,9 +530,13 @@ def test_adjacency_apply_is_the_sum_over_neighbours(data):
     i = data.draw(st.integers(0, m))
     vertices = enumerate_rank(n, m, q)
     subs = data.draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
-    # entries of +-1 in one slot make cancelling neighbour sums likely
+    # entries of +-1 in one slot make cancelling neighbour sums likely, and a
+    # pool of 1-4 values gives coefficient classes with many members
     coeff = st.lists(st.integers(-1, 1), min_size=q - 1, max_size=q - 1)
-    v = LatticeVector(q, n, {sub: CycInt(q, tuple(data.draw(coeff))) for sub in subs})
+    pool = data.draw(st.lists(coeff, min_size=1, max_size=4))
+    scale = data.draw(st.sampled_from([1, 1, 3, 2**63 + 1, -(2**70)]))
+    values = [CycInt(q, tuple(scale * a for a in c)) for c in pool]
+    v = LatticeVector(q, n, {sub: data.draw(st.sampled_from(values)) for sub in subs})
     expect = {}
     for x in vertices:
         total = CycInt.zero(q)
@@ -494,7 +544,24 @@ def test_adjacency_apply_is_the_sum_over_neighbours(data):
             if intersect(x, y).k == m - i:
                 total = total + c
         expect[x] = total
-    assert adjacency_apply(n, m, i, v) == LatticeVector(q, n, expect)
+    image = adjacency_apply(n, m, i, v)
+    assert image == LatticeVector(q, n, expect)
+    # terms come in ascending vertex order
+    order = [vertices.index(x) for x in image.support()]
+    assert order == sorted(order)
+
+
+def test_eigentable_adds_once_per_further_coefficient_class(basis_for, monkeypatch):
+    # each A_i v sums its d <= 3 coefficient classes: at most d - 1 adds per
+    # vertex, for (m+1)^2 = 9 calls over 130 vertices.  A per-neighbour sum
+    # takes 49,530.  At least one add keeps CycInt.add on the spectra path.
+    basis = basis_for(3, 4)
+    expect = eigentable(4, 2, basis)
+    calls = []
+    add = CycInt.__add__
+    monkeypatch.setattr(CycInt, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    assert eigentable(4, 2, basis) == expect
+    assert 1 <= len(calls) <= 9 * 130 * 2
 
 
 def _with_vector(basis, m, ci, vec):
