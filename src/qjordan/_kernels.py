@@ -1,11 +1,11 @@
-"""Hot kernels: batched Gaussian elimination over F_q.
+"""Kernels: batched Gaussian elimination over F_q.
 
-Matrix canonicalization dominates the runtime of basis construction (orbit
-tables, cover enumeration and intersection tables all reduce batches of tiny
-matrices mod q).  There is one implementation, interpreted, over numpy int64
-arrays: ``rref_batch`` loops over the matrices of a batch, ``rank_batch``
-eliminates a whole batch at once.  ``active_backend()`` always reports
-``"numpy"``.
+There is one implementation, interpreted, over numpy int64 arrays, with the
+inverse table of F_q (``gflinalg.inv_table``) passed in: ``rref_batch``
+loops over the matrices of a batch and serves the one subspace
+canonicalizer (cover enumeration, orbit tables, parsed subspaces);
+``rank_batch`` eliminates a whole batch at once and serves the Grassmann
+scheme's relation matrix.  ``active_backend()`` always reports ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -16,14 +16,6 @@ import numpy as np
 def active_backend() -> str:
     """The kernel that runs: always ``"numpy"`` (interpreted loops)."""
     return "numpy"
-
-
-def inverse_table(q: int) -> np.ndarray:
-    """inv[x] = multiplicative inverse of x mod q (prime q); inv[0] = 0."""
-    inv = np.zeros(q, dtype=np.int64)
-    for x in range(1, q):
-        inv[x] = pow(x, q - 2, q)
-    return inv
 
 
 def rref_batch(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:

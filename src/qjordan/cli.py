@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .gflinalg import check_field_order
 from .haction import verify_decomposition
 from .qcombinatorics import verify_identities
 from .scheme import (
@@ -23,7 +24,7 @@ from .scheme import (
     johnson_rooted_tree_formula,
     rooted_tree_count,
 )
-from .sjb import check_field_order, construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
+from .sjb import construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1

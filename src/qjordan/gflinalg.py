@@ -24,24 +24,31 @@ from .qcombinatorics import is_prime, json_int
 
 
 # Subspace matrices are stored as int8, so entries must lie in 0..127: a
-# larger field would wrap its entries and merge distinct subspaces.  The cap
-# also keeps trial division off a huge untrusted q.
+# larger field would wrap its entries and merge distinct subspaces.
 MAX_FIELD_ORDER = 128
-# A basis file's header n is capped too: G(64, 2) has 310 digits, and a far
-# larger n passes Python's int-to-str digit limit or the recursion depth of
-# q_binomial.
-MAX_AMBIENT_DIM = 64
+# A basis file's header is capped at |F_q^n| = q^n: verifying it enumerates
+# the q^(n-k) coordinate vectors off each support subspace.  q^n <= 2^14
+# also bounds n by 14, far inside Python's int-to-str digit limit and the
+# recursion depth of q_binomial.
+MAX_AMBIENT_SIZE = 2**14
+
+
+def check_field_order(q: int) -> None:
+    """Raise ValueError unless q is a prime below ``MAX_FIELD_ORDER``, the
+    largest field whose subspaces the int8 matrices of ``Subspace`` keep
+    apart."""
+    if q >= MAX_FIELD_ORDER:
+        raise ValueError(f"q must be below {MAX_FIELD_ORDER}, got {q}")
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
 
 
 @cache
 def inv_table(q: int) -> np.ndarray:
-    """The inverse table of F_q; the one check of the field order that every
-    ``Subspace`` path makes."""
-    if q >= MAX_FIELD_ORDER:
-        raise ValueError(f"field order must be below {MAX_FIELD_ORDER}, got {q}")
-    if not is_prime(q):
-        raise ValueError(f"field order must be prime, got {q}")
-    return _kernels.inverse_table(q)
+    """The inverse table of F_q, inv[x] * x = 1 with inv[0] = 0; the one
+    check of the field order that every ``Subspace`` path makes."""
+    check_field_order(q)
+    return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
 
 
 def fq_matmul(a, b, q: int) -> np.ndarray:
@@ -269,7 +276,10 @@ def mu_apply(x: Subspace, y: Subspace) -> Subspace:
         raise ValueError(f"mu_apply: y must live in ambient {x.n - 1}, got {y.n}")
     if x.q != y.q:
         raise ValueError(f"mixed fields: q={x.q} vs q={y.q}")
-    if y.k == 0:
-        return Subspace.zero(x.q, x.n)
-    gens = fq_matmul(x.matrix, y.matrix, x.q)
-    return Subspace.from_matrix(x.q, gens)
+    # The product is already in Schubert normal form, so it is not reduced
+    # again.  Let x have pivot rows r_0 < ... < r_(n-2) and y pivot rows
+    # s_0 < s_1 < ...  Column t of x y is column s_t of x plus multiples of
+    # the columns j > s_t of x, which are zero down to row r_j > r_(s_t): it
+    # is zero above r_(s_t) and 1 there.  On pivot row r_i of x it reads
+    # y[i, t], so on the rows r_(s_u) it is the identity, as y is on s_u.
+    return Subspace._make(x.q, x.n, fq_matmul(x.matrix, y.matrix, x.q))

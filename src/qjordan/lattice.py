@@ -31,18 +31,12 @@ def enumerate_rank(n: int, k: int, q: int) -> tuple[Subspace, ...]:
         return ()
     out = []
     for pivots in combinations(range(n), k):
-        template = np.zeros((n, k), dtype=np.int64)
-        for j, r in enumerate(pivots):
-            template[r, j] = 1
-        free = free_positions(n, pivots)
-        if not free:
-            out.append(Subspace._make(q, n, template))
-            continue
-        for code in range(q ** len(free)):
-            mat = template.copy()
-            for t in range(len(free) - 1, -1, -1):
-                code, digit = divmod(code, q)
-                mat[free[t]] = digit
+        mat = np.zeros((n, k), dtype=np.int64)
+        mat[pivots, range(k)] = 1
+        rows, cols = np.array(free_positions(n, pivots), dtype=np.int64).reshape(-1, 2).T
+        # _make stores an int8 copy, so one matrix is refilled for the whole cell
+        for entries in all_coordinate_vectors(len(rows), q):
+            mat[rows, cols] = entries
             out.append(Subspace._make(q, n, mat))
     result = tuple(out)
     assert len(result) == q_binomial(n, k, q)

@@ -33,7 +33,7 @@ from .lattice import (
     _planes,
     enumerate_rank,
 )
-from .qcombinatorics import q_binomial, q_int
+from .qcombinatorics import is_prime, q_binomial, q_int
 from .sjb import SJB
 
 
@@ -55,8 +55,8 @@ def _check_m(n: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= n/2, got m={m}, n={n}")
 
 
-# pairs per rank_batch call: the gathered batch (128 kB at m = 2, n = 4) and
-# the kernel's three whole-batch temporaries fit in one 4096-pair gather
+# pairs per rank_batch call: at m = 2, n = 4 the gathered batch takes 128 kB,
+# and the kernel's three whole-batch temporaries at most as much again each
 _PAIR_BLOCK = 1024
 
 
@@ -273,39 +273,12 @@ _PRIME_BLOCK = 4
 _UPDATE_BLOCK = 1 << 14
 
 
-def _is_prime_u32(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n with 61 < n < 2^32: the bases
-    2, 7 and 61 have no common strong pseudoprime below 4,759,123,141.
-
-    Kept apart from qcombinatorics.is_prime on purpose.  That trial division
-    serves q and the cyclotomic prime, which are small.  Here it would take
-    about 14 times as long as Miller-Rabin to scan the ~250 odd candidates
-    below 2^26 that a 129 x 129 matrix-tree determinant needs, paid again by
-    every CLI command in its fresh interpreter.  It also stays an independent
-    check of this table in the tests."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @cache
 def _det_prime(i: int) -> int:
     """The i-th largest prime below 2^_PRIME_BITS, from i = 0.  Built on
     first use, one at a time, by callers that ask for i = 0, 1, 2, ..."""
     cand = (_det_prime(i - 1) if i else 2**_PRIME_BITS + 1) - 2
-    while not _is_prime_u32(cand):
+    while not is_prime(cand):
         cand -= 2
     return cand
 

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gflinalg import MAX_AMBIENT_DIM, MAX_FIELD_ORDER, Subspace
+from .gflinalg import MAX_AMBIENT_SIZE, Subspace, check_field_order
 from .haction import characters, gamma, theta
 from .lattice import LatticeVector, gram, inner, up_mismatches
-from .qcombinatorics import galois_number, is_prime, json_int, q_binomial, q_int
+from .qcombinatorics import galois_number, json_int, q_binomial, q_int
 from .reporting import Check, Report
 
 
@@ -75,8 +75,7 @@ class SJB:
 
 def construct_sjb(n: int, q: int) -> SJB:
     """Build the orthogonal symmetric Jordan basis of V(B_q(n))."""
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    check_field_order(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     # F_q^0 has no nontrivial character, so level 0 also stands in for
@@ -269,16 +268,6 @@ def sjb_to_json(basis: SJB) -> dict:
     }
 
 
-def check_field_order(q: int) -> None:
-    """Raise ValueError unless q is a prime below ``MAX_FIELD_ORDER``, the
-    largest field whose subspaces the int8 matrices of ``Subspace`` keep
-    apart."""
-    if q >= MAX_FIELD_ORDER:
-        raise ValueError(f"q must be below {MAX_FIELD_ORDER}, got {q}")
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-
-
 def sjb_from_json(obj) -> SJB:
     """Parse a basis document; a malformed one raises ValueError."""
     try:
@@ -298,8 +287,9 @@ def sjb_from_json(obj) -> SJB:
             chains.append(JordanChain(start, tuple(vectors)))
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        if n > MAX_AMBIENT_DIM:
-            raise ValueError(f"n must be at most {MAX_AMBIENT_DIM}, got {n}")
+        # q >= 2, so an n of the cap's bit length is past it: no huge power
+        if n >= MAX_AMBIENT_SIZE.bit_length() or q**n > MAX_AMBIENT_SIZE:
+            raise ValueError(f"q^n must be at most {MAX_AMBIENT_SIZE}, got {q}^{n}")
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
     except (TypeError, AttributeError, IndexError, OverflowError) as exc:

@@ -1,4 +1,6 @@
-"""Rank over Z/p for a large prime p: the spanning certificate of test_sjb."""
+"""Arithmetic modulo a prime for the tests: the rank over Z/p behind the
+spanning certificate of test_sjb, and the trial-division primality test
+that the package's Miller-Rabin ``is_prime`` is checked against."""
 
 import numpy as np
 
@@ -34,3 +36,15 @@ def modp_rank(mat: np.ndarray, p: int) -> int:
         if row == nr:
             break
     return row
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Reference primality test: no divisor d with d * d <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

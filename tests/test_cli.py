@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qjordan import construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
+from qjordan import LatticeVector, Subspace, construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 from qjordan.cli import main
-from qjordan.gflinalg import MAX_AMBIENT_DIM
+from qjordan.gflinalg import MAX_AMBIENT_SIZE
 
 
 def run_cli(capsys, *argv):
@@ -225,11 +225,19 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "dependent.json": json.dumps(dependent),
         "n_neg.json": json.dumps({"q": 2, "n": -3, "chains": []}),
         # n = 256 passed Python's int-to-str digit limit and n = 600 the
-        # q-binomial recursion depth; the cap + 1 is the least n rejected
+        # q-binomial recursion depth; 2^15 and 3^9 are the least q^n past
+        # the cap at their q
         "n_256.json": json.dumps({"q": 2, "n": 256, "chains": []}),
         "n_600.json": json.dumps({"q": 2, "n": 600, "chains": []}),
-        "n_cap.json": json.dumps({"q": 2, "n": MAX_AMBIENT_DIM + 1, "chains": []}),
+        "n_cap.json": json.dumps({"q": 2, "n": MAX_AMBIENT_SIZE.bit_length(), "chains": []}),
+        "q3_cap.json": json.dumps({"q": 3, "n": 9, "chains": []}),
     }
+    # one rank-0 term, within the old cap on n: verifying it would enumerate
+    # the 2^n vectors of F_2^n
+    for n in (20, 30):
+        zero = LatticeVector.basis(Subspace.zero(2, n)).to_json()
+        doc = {"q": 2, "n": n, "chains": [{"start_rank": 0, "vectors": [zero]}]}
+        files[f"one_term_{n}.json"] = json.dumps(doc)
     # non-integers that int() would truncate to a sound value
     sound_23 = sjb_to_json(construct_sjb(3, 2))
     term = ("chains", 0, "vectors", 0, "terms", 0)
@@ -266,7 +274,9 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
 
 def test_basis_file_at_the_ambient_cap_is_verified(tmp_path, capsys):
     path = tmp_path / "n_cap.json"
-    path.write_text(json.dumps({"q": 2, "n": MAX_AMBIENT_DIM, "chains": []}))
+    n = MAX_AMBIENT_SIZE.bit_length() - 1
+    assert 2**n == MAX_AMBIENT_SIZE
+    path.write_text(json.dumps({"q": 2, "n": n, "chains": []}))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 1 and "Traceback" not in err
     report = json.loads(out)

@@ -12,7 +12,7 @@ from qjordan import Subspace, mu_apply
 from qjordan.gflinalg import MAX_FIELD_ORDER, subspaces_from_matrix_batch
 from qjordan.lattice import enumerate_all, enumerate_rank
 
-from fq import contains, covers, intersect, points, restrict
+from fq import contains, covers, intersect, naive_rref, points, restrict
 
 
 def test_snf_is_fixed_point_on_identity_columns():
@@ -173,6 +173,15 @@ def test_mu_apply_is_order_isomorphism():
             for y in subs:
                 for z in subs:
                     assert contains(y, z) == contains(images[y], images[z])
+    # the product of two normal forms is the normal form of its span
+    for q, n in [(2, 4), (3, 3), (5, 2)]:
+        for hyper in enumerate_rank(n, n - 1, q):
+            for y in enumerate_all(n - 1, q):
+                prod = hyper.matrix.astype(np.int64) @ y.matrix.astype(np.int64) % q
+                rows, rank = naive_rref(prod.T, q)
+                snf = np.array(rows[:rank], dtype=np.int64).reshape(rank, n).T
+                assert np.array_equal(prod, snf), (hyper, y)
+                assert np.array_equal(mu_apply(hyper, y).matrix, prod)
 
 
 def test_json_roundtrip_recanonicalizes():
@@ -244,7 +253,7 @@ def test_from_json_reduces_columns_that_are_not_canonical(data):
     assert Subspace.from_json(q, {"n": n, "k": k, "cols": cols}) is expect
 
 
-# each malformed subspace with the message it has always raised; the
+# each malformed subspace with the message it raises; the
 # canonical subspaces of these ambients are interned first, so an input that
 # reached the intern-table lookup too early would parse instead of failing
 MALFORMED_SUBSPACES = [
@@ -265,8 +274,8 @@ MALFORMED_SUBSPACES = [
     (3, {"n": 1, "k": 1.0, "cols": [[1]]}, "subspace k must be an integer, got 1.0"),
     (3, {"n": 2, "k": 2, "cols": [[1, 0], [1, 0]]}, "the 2 columns span a subspace of dimension 1"),
     (3, {"n": 2, "k": 1, "cols": [[0, 0]]}, "the 1 columns span a subspace of dimension 0"),
-    (4, {"n": 2, "k": 1, "cols": [[1, 0]]}, "field order must be prime, got 4"),
-    (131, {"n": 2, "k": 1, "cols": [[1, 0]]}, "field order must be below 128, got 131"),
+    (4, {"n": 2, "k": 1, "cols": [[1, 0]]}, "q must be prime, got 4"),
+    (131, {"n": 2, "k": 1, "cols": [[1, 0]]}, "q must be below 128, got 131"),
 ]
 
 

@@ -44,7 +44,11 @@ def test_enumerate_rank_is_deterministic():
     first = [s.to_json() for s in enumerate_rank(4, 2, 3)]
     second = [s.to_json() for s in enumerate_rank(4, 2, 3)]
     assert first == second
-    # spot-check the documented order: pivot sets ascending, then digits
+    # the whole documented order: pivot sets ascending, then digits
+    for q, n in [(2, 5), (3, 4), (5, 3)]:
+        for k in range(n + 1):
+            seq = enumerate_rank(n, k, q)
+            assert seq == tuple(sorted(seq, key=Subspace.sort_key)), (q, n, k)
     lines = enumerate_rank(3, 1, 2)
     assert [s.to_json()["cols"] for s in lines[:4]] == [
         [[1, 0, 0]],

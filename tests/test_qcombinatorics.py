@@ -8,6 +8,7 @@ from qjordan import galois_number, is_prime, q_binomial, q_int, verify_identitie
 from qjordan.lattice import enumerate_rank
 
 from fq import span_set
+from modp import trial_division_is_prime
 
 
 def all_vectors(n, q):
@@ -111,6 +112,15 @@ def test_verify_identities_reports():
 
 
 def test_is_prime():
-    primes = {2, 3, 5, 7, 11, 13, 97}
-    for n in range(100):
-        assert is_prime(n) == (n in primes or (n > 13 and all(n % d for d in range(2, n))))
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division_is_prime(n)
+    ]
+    # strong pseudoprimes: to base 2; to 2, 3, 5, 7; to the first 9 primes;
+    # and psi_12, the least to the first 12
+    for n in (2047, 3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not is_prime(n), n
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    # psi_13, the least strong pseudoprime to the first 13 primes, is past
+    # the range where the test is exact
+    with pytest.raises(ValueError, match="psi_13"):
+        is_prime(3_317_044_064_679_887_385_961_981)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,11 @@ def test_rejects_bad_arguments():
         construct_sjb(2, 6)
     with pytest.raises(ValueError):
         construct_sjb(-1, 2)
+    # a prime field order far past the cap is refused before any work
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="below 128"):
+        construct_sjb(1, 2**61 - 1)
+    assert time.perf_counter() - start < 1
     with pytest.raises(ValueError):
         verify_sjb(construct_sjb(1, 2), mode="loose")
     with pytest.raises(ValueError):
