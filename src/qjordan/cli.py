@@ -113,7 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             basis = sjb_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever the cause
         return _usage_error(f"cannot read basis file {args.path}: {message}")
     report = verify_sjb(basis)

@@ -138,20 +138,16 @@ def find_hyperplane(chi: Character, n: int) -> Subspace:
     """The unique hyperplane of F_q^n whose raised class survives p(chi).
 
     p(chi) of x-hat survives exactly when chi is trivial on the stabilizer
-    of x-hat: the group vectors that send x-hat to where the identity,
-    group vector 0, sends it.
+    of x-hat.  The vector a fixes x-hat exactly when (a, 1) lies in x-hat,
+    that is when a lies in x, so the stabilizer is x itself, and chi_c is
+    trivial on it exactly when x = c^perp: c . x = 0 on every basis vector.
     """
     if chi.is_trivial:
         raise ValueError("find_hyperplane requires a nontrivial character")
     if chi.n != n:
         raise ValueError(f"character indexed by F_{chi.q}^{chi.n}, asked for n={n}")
-    exponents = _char_exponents(chi.q, chi.c)
-
-    def trivial_on_stabilizer(x: Subspace) -> bool:
-        index = orbit_table(x.hat()).group_index
-        return all(e == 0 for e, g in zip(exponents, index) if g == index[0])
-
-    found = [x for x in enumerate_rank(n, n - 1, chi.q) if trivial_on_stabilizer(x)]
+    c = np.asarray(chi.c, dtype=np.int64)
+    found = [x for x in enumerate_rank(n, n - 1, chi.q) if not (c @ x.matrix % chi.q).any()]
     if len(found) != 1:
         raise RuntimeError(
             f"expected exactly one surviving hyperplane for c={chi.c}, found {len(found)}"

@@ -16,6 +16,7 @@ which certifies the lifted integer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -95,6 +96,8 @@ def adjacency_apply(n: int, m: int, i: int, v: LatticeVector) -> LatticeVector:
     _check_m(n, m)
     if not 0 <= i <= m:
         raise ValueError(f"relation index must lie in 0..{m}, got {i}")
+    if v.n != n:
+        raise ValueError(f"input lives in ambient {v.n}, asked about n={n}")
     if v.is_zero:
         return v
     if v.ranks() != {m}:
@@ -122,41 +125,39 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
 
     Each start rank's row comes from the first chain of that start rank
     through rank m: every A_i is applied to its rank-m vector, and the
-    eigen equation is checked at every coordinate.  Every other chain's
-    rank-m vector is checked against its start rank's row at every
-    coordinate by slice products (see _slice_verdicts).  A chain that fails
-    that check, or that it cannot judge, goes through the same per-chain
-    extraction, so a violation raises the EigenStructureError of the first
-    faulty chain in chain order, with its detail; a zero rank-m vector and
-    one with a term off rank m are violations too.
+    eigen equation is checked at every coordinate.  The Grassmann graph is
+    distance-regular, so every A_i is a polynomial p_i(A_1) and the row has
+    lambda_i = p_i(lambda_1): a later chain of that start rank shares it
+    exactly when A_1 v = lambda_1 v, which one _slice_verdicts call checks
+    for all of them.  A chain that fails that check, or that it cannot
+    judge, goes through the same per-chain extraction, so a violation
+    raises the EigenStructureError of the first faulty chain in chain
+    order, with its detail; a zero rank-m vector and one with a term off
+    rank m are violations too.
     """
     _check_m(n, m)
     if basis.n != n:
         raise ValueError(f"basis is for n={basis.n}, asked about n={n}")
-    q = basis.q
     through = [
         (ci, chain.start_rank, chain.vector_at_rank(m))
         for ci, chain in enumerate(basis.chains)
         if chain.start_rank <= m <= chain.end_rank
     ]
     by_start: dict[int, tuple[int, ...]] = {}
-    passed: dict[int, bool] = {}  # chain index -> slice verdict
+    passed: set[int] = set()  # chains whose slice verdict passed
     for pos, (ci, k, vec) in enumerate(through):
-        if k in by_start:
-            if ci not in passed:
-                pending = [c for c in through[pos:] if c[1] in by_start and c[0] not in passed]
-                passed.update(_slice_verdicts(n, m, q, pending, by_start))
-            if passed[ci]:
-                continue
-        row = tuple(
-            _extract_eigenvalue(n, m, i, vec, ci) for i in range(m + 1)
-        )
-        if k in by_start and by_start[k] != row:
+        if ci in passed:
+            continue
+        row = tuple(_extract_eigenvalue(n, m, i, vec, ci) for i in range(m + 1))
+        if k not in by_start:
+            by_start[k] = row
+            later = [(c, v) for c, start, v in through[pos + 1 :] if start == k]
+            passed |= _slice_verdicts(n, m, basis.q, later, row[min(m, 1)])
+        elif by_start[k] != row:
             raise EigenStructureError(
                 f"chain {ci} (start {k}) has eigenvalues {row}, but an earlier "
                 f"chain with start {k} had {by_start[k]}"
             )
-        by_start[k] = row
     rows = tuple(EigenRow(k, by_start[k]) for k in sorted(by_start))
     if len(rows) != m + 1:
         raise EigenStructureError(f"found {len(rows)} eigenvalue rows, expected {m + 1}")
@@ -169,43 +170,40 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
 _EIGEN_BLOCK = 1 << 16
 
 
-def _slice_verdicts(n: int, m: int, q: int, pending, by_start) -> dict[int, bool]:
-    """Whether each (chain index, start rank, rank-m vector) of the first
-    block of pending satisfies A_i v = lambda_i v at every coordinate for
-    every i, with lambda its start rank's row in by_start.
+def _slice_verdicts(n: int, m: int, q: int, chains, lam: int) -> set[int]:
+    """The chain indices of the (chain index, rank-m vector v) pairs with
+    A v = lam v at every coordinate, A being A_1 (A_0 = I when m = 0).
 
-    The vectors become the (q-1, rows, nv) coefficient planes over the
-    vertices of _relations, and each relation takes one product of each
-    plane with [R == i].  int64 is used only when (nv + max|lambda|) max|coeff|
-    < 2^63 bounds every entry on both sides; otherwise the planes hold
-    Python ints.  A zero vector, or one with a term off rank m, is not
-    judged here: it gets False, like a vector that fails.
+    The vectors become (q-1, rows, nv) coefficient planes over the vertices
+    of _relations, _EIGEN_BLOCK plane entries at a time, and each plane
+    takes one product with A.  int64 is used only when (nv + |lam|)
+    max|coeff| < 2^63 bounds every entry on both sides; otherwise the
+    planes hold Python ints.  A zero vector, or one with a term off rank m,
+    is not judged here: it is left out, like a vector that fails.
     """
     vertices, index_of, rel = _relations(q, n, m)
-    block = pending[: max(1, _EIGEN_BLOCK // ((q - 1) * len(vertices)))]
     judged = [
-        (ci, by_start[k], vec)
-        for ci, k, vec in block
+        (ci, vec)
+        for ci, vec in chains
         if not vec.is_zero and all(sub in index_of for sub in vec.support())
     ]
-    verdicts = dict.fromkeys((ci for ci, _, _ in block), False)
-    if not judged:
-        return verdicts
-    vectors = [vec for _, _, vec in judged]
-    lam_max = max(abs(x) for _, row, _ in judged for x in row)
-    dtype = _plane_dtype((len(vertices) + lam_max) * _max_coeff(vectors))
-    planes = _planes(vectors, index_of, q, dtype)
-    ok = np.ones(len(judged), dtype=bool)
-    for i in range(m + 1):
-        lam = np.array([row[i] for _, row, _ in judged], dtype=dtype)[:, None]
-        adj = (rel == i).astype(dtype)
-        # (A_i v)(X) = sum_Y [R[X, Y] == i] v(Y), summed along contiguous
-        # rows of both operands (several times faster than plane @ A_i), one
+    # int64 also serves object planes: einsum promotes it
+    adj = (rel == min(m, 1)).astype(np.int64)
+    step = max(1, _EIGEN_BLOCK // ((q - 1) * len(vertices)))
+    out: set[int] = set()
+    for lo in range(0, len(judged), step):
+        block = judged[lo : lo + step]
+        vectors = [vec for _, vec in block]
+        dtype = _plane_dtype((len(vertices) + abs(lam)) * _max_coeff(vectors))
+        planes = _planes(vectors, index_of, q, dtype)
+        ok = np.ones(len(block), dtype=bool)
+        # (A v)(X) = sum_Y A[X, Y] v(Y), summed along contiguous rows
+        # of both operands (several times faster than plane @ A), one
         # coefficient plane at a time so that the temporaries stay small
         for plane in planes:
             ok &= (np.einsum("ry,xy->rx", plane, adj) == lam * plane).all(axis=1)
-    verdicts.update(zip((ci for ci, _, _ in judged), ok.tolist()))
-    return verdicts
+        out.update(ci for (ci, _), good in zip(block, ok.tolist()) if good)
+    return out
 
 
 def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> int:
@@ -339,7 +337,8 @@ def bareiss_det(matrix) -> int:
     product M exceeds twice that power of two, so the residue in
     (-M/2, M/2] is the determinant: exact and certified, with no floats.
     """
-    rows = [[int(x) for x in row] for row in matrix]
+    # a float or a string raises TypeError here instead of being truncated
+    rows = [[operator.index(x) for x in row] for row in matrix]
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("determinant needs a square matrix")

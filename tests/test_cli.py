@@ -231,6 +231,8 @@ def test_malformed_basis_file_is_a_usage_error(tmp_path, capsys):
         "n_600.json": json.dumps({"q": 2, "n": 600, "chains": []}),
         "n_cap.json": json.dumps({"q": 2, "n": MAX_AMBIENT_SIZE.bit_length(), "chains": []}),
         "q3_cap.json": json.dumps({"q": 3, "n": 9, "chains": []}),
+        # json.load raises RecursionError, not ValueError, on deep nesting
+        "deep.json": "[" * 100000 + "]" * 100000,
     }
     # one rank-0 term, within the old cap on n: verifying it would enumerate
     # the 2^n vectors of F_2^n

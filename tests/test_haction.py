@@ -167,7 +167,7 @@ def test_find_hyperplane_examples_and_kernel_characterization():
     assert find_hyperplane(Character(2, (1, 0)), 2) == Subspace.span(2, 2, [(0, 1)])
     with pytest.raises(ValueError):
         find_hyperplane(Character(2, (0, 0)), 2)
-    for q, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
+    for q, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]:
         for chi in characters(n, q):
             hyper = find_hyperplane(chi, n)
             kernel = [
@@ -180,7 +180,7 @@ def test_find_hyperplane_examples_and_kernel_characterization():
 
 
 def test_characters_per_hyperplane():
-    for q, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+    for q, n in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]:
         for hyper in enumerate_rank(n, n - 1, q):
             hits = [chi for chi in characters(n, q) if find_hyperplane(chi, n) == hyper]
             assert len(hits) == q - 1

@@ -118,6 +118,11 @@ def test_adjacency_rejects_bad_input():
     )
     with pytest.raises(ValueError):
         adjacency_apply(3, 1, 1, mixed)
+    # a vector of another ambient space, zero or not
+    foreign = LatticeVector.basis(Subspace.span(2, 3, [(1, 0, 0)]))
+    for vec in (foreign, LatticeVector.zero(2, 3)):
+        with pytest.raises(ValueError):
+            adjacency_apply(4, 1, 1, vec)
 
 
 def test_eigentable_k7(basis_for):
@@ -173,6 +178,44 @@ def test_eigentable_matches_closed_form(basis_for):
                         for i in range(m + 1)
                     )
                     assert row.eigenvalues == expect, (q, n, m, row.start_rank)
+
+
+def intersection_numbers(q, n, m):
+    """(b, a, c) of the Grassmann graph C_q(n, m), with b_i, a_i for
+    i = 0..m and c_i for i = 0..m+1 (Brouwer-Cohen-Neumaier,
+    Distance-Regular Graphs, 9.3); b_m = c_0 = 0."""
+    b = [q ** (2 * i + 1) * q_int(m - i, q) * q_int(n - m - i, q) for i in range(m + 1)]
+    c = [q_int(i, q) ** 2 for i in range(m + 2)]
+    a = [b[0] - b[i] - c[i] for i in range(m + 1)]
+    return b, a, c
+
+
+def three_term_rhs(b, a, c, x, i):
+    """b_(i-1) x_(i-1) + a_i x_i + c_(i+1) x_(i+1) for x_0..x_(m+1), with
+    x_(-1) = 0."""
+    return (b[i - 1] * x[i - 1] if i else 0) + a[i] * x[i] + c[i + 1] * x[i + 1]
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (3, 3, 1)])
+def test_relations_satisfy_the_three_term_recurrence(q, n, m):
+    # A_1 A_i = b_(i-1) A_(i-1) + a_i A_i + c_(i+1) A_(i+1): every A_i is a
+    # polynomial in A_1, which lets eigentable judge later chains on A_1
+    _, _, rel = _relations(q, n, m)
+    adj = [(rel == i).astype(np.int64) for i in range(m + 2)]  # A_(m+1) = 0
+    b, a, c = intersection_numbers(q, n, m)
+    for i in range(m + 1):
+        assert (adj[1] @ adj[i] == three_term_rhs(b, a, c, adj, i)).all(), i
+
+
+def test_eigentable_rows_satisfy_the_three_term_recurrence(basis_for):
+    for q, top in [(2, 5), (3, 4), (5, 3), (7, 2)]:
+        for n in range(2, top + 1):
+            for m in range(1, n // 2 + 1):
+                b, a, c = intersection_numbers(q, n, m)
+                for row in eigentable(n, m, basis_for(q, n)):
+                    lam = row.eigenvalues + (0,)
+                    for i in range(m + 1):
+                        assert lam[1] * lam[i] == three_term_rhs(b, a, c, lam, i), (q, n, m)
 
 
 def test_laplacian_spectrum_values():
@@ -235,6 +278,11 @@ def test_bareiss_det():
     assert bareiss_det([]) == 1
     with pytest.raises(ValueError):
         bareiss_det([[1, 2]])
+    # entries must be integers: a float or a string is refused, never truncated
+    for bad in ([[1.5]], [["3"]], np.array([[2.9, 0], [0, 1]])):
+        with pytest.raises(TypeError):
+            bareiss_det(bad)
+    assert bareiss_det(np.array([[2, 1], [1, 3]], dtype=np.int32)) == 5
     # permutation-expansion oracle on random 4x4 integer matrices
     from itertools import permutations
 
