@@ -188,8 +188,9 @@ def verify_decomposition(n: int, q: int) -> Report:
     q-1 count of surviving characters per hyperplane.
 
     Each U identity is decided for all its vectors by one ``up_mismatches``
-    call, and every inner-product identity is read off two exact Gram
-    matrices; each failure names the input that a scan meets first.
+    call, and every inner-product identity is read off one exact Gram
+    matrix and the images' supports; each failure names the input that a
+    scan meets first.
     """
     if n < 1:
         raise ValueError(f"verify_decomposition needs n >= 1, got {n}")
@@ -246,15 +247,15 @@ def verify_decomposition(n: int, q: int) -> Report:
 
     # inner products: the Gram matrix of the theta and gamma images (which
     # live outside the hyperplane) against the diagonal it should be, and
-    # their Gram matrix against the embedded basis of B_q(n)
-    full = gram(outside, outside)
+    # which images have a term on an embedded subspace (last row zero)
+    full = gram(outside)
     expect = np.zeros_like(full)
     diagonal = np.arange(len(outside))
     expect[diagonal, diagonal, 0] = [q ** (n - x.k) for x in xs] + [
         q ** (n + y.k) for _, y in pairs
     ]
     miss = (full != expect).any(axis=-1)
-    meets = gram(outside, embedded).any(axis=-1)
+    meets = [[any(not sub.matrix[-1].any() for sub in img.support())] for img in outside]
     # the block of each image: -1 for theta, the character's position for gamma
     block = np.concatenate([np.full(nt, -1), np.arange(len(pairs)) // len(ys)])
     same = block[:, None] == block[None, :]
@@ -290,25 +291,25 @@ def verify_decomposition(n: int, q: int) -> Report:
     # orthogonality across blocks, in the order of a pairwise scan: each
     # theta or gamma image against the whole embedded lattice, then a theta
     # image against every gamma image and a gamma image against the later
-    # gamma images of other characters; columns are the nt embedded
-    # subspaces and then the outside images, of which only gamma ones can hit
+    # gamma images of other characters; column 0 is the embedded lattice and
+    # then come the outside images, of which only gamma ones can hit
     hit = _first_true(np.concatenate([meets, np.triu(miss & ~same)], axis=1))
     bad = ""
     if hit is not None:
         i, j = hit
         if i < nt:
             x = xs[i]
-            if j < nt:
+            if j == 0:
                 bad = f"theta image of {x!r} meets the embedded lattice"
             else:
-                chi, y = pairs[j - 2 * nt]
+                chi, y = pairs[j - 1 - nt]
                 bad = f"theta {x!r} not orthogonal to gamma {y!r} (c={chi.c})"
         else:
             chi, y = pairs[i - nt]
-            if j < nt:
+            if j == 0:
                 bad = f"gamma {y!r} (c={chi.c}) meets the embedded lattice"
             else:
-                chj, z = pairs[j - 2 * nt]
+                chj, z = pairs[j - 1 - nt]
                 bad = f"gamma blocks c={chi.c} and c={chj.c} not orthogonal ({y!r} vs {z!r})"
     checks.append(Check("block-orthogonality", not bad, bad))
 

@@ -288,51 +288,39 @@ def inner(v: LatticeVector, w: LatticeVector) -> CycInt:
     return total
 
 
-def gram(left: Sequence[LatticeVector], right: Sequence[LatticeVector]) -> np.ndarray:
-    """Every inner product <l, r> of two lists of vectors at once, exactly.
+def gram(vectors: Sequence[LatticeVector]) -> np.ndarray:
+    """Every inner product <v, w> of a list of vectors at once, exactly.
 
-    Returns an array of shape (len(left), len(right), q - 1) whose entry
-    [i, j] holds ``inner(left[i], right[j]).coeffs``; it is (0, 0, 0) when
-    both lists are empty.
+    Returns an array of shape (len(vectors), len(vectors), q - 1) whose
+    entry [i, j] holds ``inner(vectors[i], vectors[j]).coeffs``; it is
+    (0, 0, 0) for an empty list.
 
-    Each side becomes q - 1 coefficient planes (the power-basis coefficients
-    of its Z[w] entries) over the S subspaces that lie in the supports of
-    both sides; terms anywhere else meet nothing.  The product of left plane
-    i with right plane j lands in the root-count slot (i - j) mod q, and the
-    slots G_0..G_(q-1) fold to the power basis as C_t = G_t - G_(q-1).
-    int64 is used only when 2 (q-1) S max|L| max|R| < 2^63 bounds every
-    partial sum; otherwise the planes hold Python ints.  Left rows go
-    through in blocks, so the work space beyond the result and the right
+    The vectors become q - 1 coefficient planes (the power-basis
+    coefficients of their Z[w] entries) over the S subspaces of their
+    supports.  The product of plane i with plane j lands in the root-count
+    slot (i - j) mod q, and the slots G_0..G_(q-1) fold to the power basis
+    as C_t = G_t - G_(q-1).  int64 is used only when 2 (q-1) S max|c|^2 <
+    2^63 bounds every partial sum; otherwise the planes hold Python ints.
+    Rows go through in blocks, so the work space beyond the result and the
     planes stays O(block * S).
     """
-    vectors = [*left, *right]
     if not vectors:
         return np.zeros((0, 0, 0), dtype=np.int64)
     for v in vectors:
         vectors[0]._check_compatible(v)
     q = vectors[0].q
-    on_right = {sub for v in right for sub in v._terms}
-    index: dict[Subspace, int] = {}
-    for v in left:
-        for sub in v._terms:
-            if sub in on_right:
-                index.setdefault(sub, len(index))
+    supports = dict.fromkeys(sub for v in vectors for sub in v._terms)
+    index = {sub: col for col, sub in enumerate(supports)}
     size = max(len(index), 1)
-    left_max = _max_coeff(left)
-    right_max = left_max if right is left else _max_coeff(right)
-    dtype = _plane_dtype(2 * (q - 1) * size * left_max * right_max)
-    out = np.zeros((q - 1, len(left), len(right)), dtype=dtype)
-    right_planes = _planes(right, index, q, dtype)
+    dtype = _plane_dtype(2 * (q - 1) * size * _max_coeff(vectors) ** 2)
+    out = np.zeros((q - 1, len(vectors), len(vectors)), dtype=dtype)
+    planes = _planes(vectors, index, np.zeros((q - 1, len(vectors), len(index)), dtype=dtype))
     step = max(1, _GRAM_BLOCK // size)
-    for lo in range(0, len(left), step):
-        if right is left:
-            planes = right_planes[:, lo : lo + step]
-        else:
-            planes = _planes(left[lo : lo + step], index, q, dtype)
+    for lo in range(0, len(vectors), step):
         block = out[:, lo : lo + step]
         for i in range(q - 1):
             for j in range(q - 1):
-                prod = planes[i] @ right_planes[j].T
+                prod = planes[i, lo : lo + step] @ planes[j].T
                 if j == i + 1:  # slot q-1: folds into every power-basis slot
                     block -= prod
                 else:
@@ -348,18 +336,13 @@ def up_mismatches(
     The source columns are the subspaces in the vectors' supports, of any
     rank, so a stray term gets the verdict ``up_apply`` gives it.  Each
     target column (a cover of a source, or a subspace in a successor's
-    support) sums the coefficient planes of the sources it covers, and the
-    sums are compared with the successors' planes.  int64 is used only when
-    max|coeff| * S < 2^63 (S source columns) bounds every sum; otherwise the
-    planes hold Python ints.  Rows go through in blocks.
+    support) gathers the sources it covers, and ``_image_mismatches`` sums
+    and compares them.
     """
     if len(vectors) != len(successors):
         raise ValueError(f"{len(vectors)} vectors but {len(successors)} successors")
-    everything = [*vectors, *successors]
-    if not everything:
-        return np.zeros(0, dtype=bool)
-    for v in everything:
-        everything[0]._check_compatible(v)
+    for v in [*vectors, *successors]:
+        vectors[0]._check_compatible(v)
     supports = dict.fromkeys(sub for v in vectors for sub in v._terms)
     sources = {sub: col for col, sub in enumerate(supports)}
     inside: dict[Subspace, list[int]] = {}  # target -> the sources it covers
@@ -370,27 +353,52 @@ def up_mismatches(
         for sub in v._terms:
             inside.setdefault(sub, [])
     targets = {sub: t for t, sub in enumerate(inside)}
-    # each target's sources, padded with the index of an all-zero column
+    # each target's sources, padded with the index of the zero column past them
     width = max(map(len, inside.values()), default=0)
-    pad = [len(sources)] * width
-    gather = np.array([(cols + pad)[:width] for cols in inside.values()], dtype=np.intp)
-    dtype = _plane_dtype(max(len(sources), 1) * _max_coeff(everything))
+    gather = np.full((len(inside), width), len(sources), dtype=np.intp)
+    for row, cols in zip(gather, inside.values()):
+        row[: len(cols)] = cols
+    return _image_mismatches(vectors, sources, successors, targets, gather)
+
+
+def _image_mismatches(vectors, sources, expected, targets, gather, scale=1) -> np.ndarray:
+    """A bool array whose entry i says whether M(vectors[i]) != scale *
+    expected[i], where target column t of the 0/1 map M sums the source
+    columns in row t of ``gather``, padded with len(sources) (a zero column).
+
+    Rows go through in blocks of about _UP_BLOCK plane entries, one
+    coefficient plane at a time; when ``expected`` is ``vectors`` on the
+    same columns, their planes are built once.  Each image starts at -scale
+    times the expected one and adds at most S source entries (S source
+    columns), so int64 is used only when (S + |scale|) max|coeff| < 2^63
+    bounds every partial sum; otherwise the planes hold Python ints.
+    """
     out = np.zeros(len(vectors), dtype=bool)
+    same = expected is vectors and targets is sources
+    bound = len(sources) + abs(scale)
+    dtype = _plane_dtype(bound * _max_coeff(vectors if same else [*vectors, *expected]))
     step = max(1, _UP_BLOCK // (len(sources) + len(targets) + 1))
     for lo in range(0, len(vectors), step):
         rows = slice(lo, lo + step)
-        planes = _planes(vectors[rows], sources, everything[0].q, dtype)
-        padded = np.concatenate([planes, np.zeros_like(planes[..., :1])], axis=-1)
-        image = np.zeros(planes.shape[:2] + (len(targets),), dtype=dtype)
-        for slot in range(width):
-            image += padded[..., gather[:, slot]]
-        expect = _planes(successors[rows], targets, everything[0].q, dtype)
-        out[rows] = (image != expect).any(axis=(0, 2))
+        block = vectors[rows]
+        shape = (block[0].q - 1, len(block))
+        # one column past the sources stays zero: the padding index
+        planes = _planes(block, sources, np.zeros(shape + (len(sources) + 1,), dtype))
+        if same:
+            expect = planes[..., :-1]
+        else:
+            expect = _planes(expected[rows], targets, np.zeros(shape + (len(targets),), dtype))
+        image = np.empty((len(block), len(targets)), dtype=dtype)
+        for plane, want in zip(planes, expect):
+            np.multiply(want, -scale, out=image)  # zero where M v = scale * expected
+            for slot in gather.T:
+                image += plane[:, slot]
+            out[rows] |= image.any(axis=1)
     return out
 
 
-_GRAM_BLOCK = 1 << 13  # left-plane entries per block of rows
-_UP_BLOCK = 1 << 16  # plane entries per block of rows in up_mismatches
+_GRAM_BLOCK = 1 << 13  # plane entries per block of rows in gram
+_UP_BLOCK = 1 << 16  # plane entries per block of rows in _image_mismatches
 
 
 def _plane_dtype(bound: int):
@@ -408,10 +416,10 @@ def _max_coeff(vectors: Sequence[LatticeVector]) -> int:
     )
 
 
-def _planes(vectors, index: dict[Subspace, int], q: int, dtype) -> np.ndarray:
-    """(q-1, len(vectors), len(index)) power-basis coefficient planes; terms
+def _planes(vectors, index: dict[Subspace, int], planes: np.ndarray) -> np.ndarray:
+    """Fill ``planes``, a zero (q-1, len(vectors), >= len(index)) array, with
+    the power-basis coefficient planes of the vectors, and return it; terms
     on subspaces outside ``index`` are dropped."""
-    planes = np.zeros((q - 1, len(vectors), len(index)), dtype=dtype)
     for row, v in enumerate(vectors):
         for sub, coeff in v._terms.items():
             col = index.get(sub)

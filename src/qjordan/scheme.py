@@ -27,13 +27,7 @@ import numpy as np
 from . import _kernels
 from .cyclotomic import CycInt
 from .gflinalg import Subspace, inv_table
-from .lattice import (
-    LatticeVector,
-    _max_coeff,
-    _plane_dtype,
-    _planes,
-    enumerate_rank,
-)
+from .lattice import LatticeVector, _image_mismatches, enumerate_rank
 from .qcombinatorics import is_prime, q_binomial, q_int
 from .sjb import SJB
 
@@ -129,11 +123,12 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     distance-regular, so every A_i is a polynomial p_i(A_1) and the row has
     lambda_i = p_i(lambda_1): a later chain of that start rank shares it
     exactly when A_1 v = lambda_1 v, which one _slice_verdicts call checks
-    for all of them.  A chain that fails that check, or that it cannot
-    judge, goes through the same per-chain extraction, so a violation
-    raises the EigenStructureError of the first faulty chain in chain
-    order, with its detail; a zero rank-m vector and one with a term off
-    rank m are violations too.
+    for all of them, by a gather over the neighbour rows of A_1.  A chain
+    that fails that check, or that it cannot judge, goes through the same
+    per-chain extraction, so a violation raises the EigenStructureError of
+    the first faulty chain in chain order, with its detail; a rank-m
+    vector outside B_q(n), a zero one and one with a term off rank m are
+    violations too.
     """
     _check_m(n, m)
     if basis.n != n:
@@ -148,6 +143,9 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     for pos, (ci, k, vec) in enumerate(through):
         if ci in passed:
             continue
+        if vec.q != basis.q or vec.n != n:
+            fault = f"the rank-{m} vector is not in B_{basis.q}({n})"
+            raise EigenStructureError(f"chain {ci}: {fault}")
         row = tuple(_extract_eigenvalue(n, m, i, vec, ci) for i in range(m + 1))
         if k not in by_start:
             by_start[k] = row
@@ -166,20 +164,16 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     return rows
 
 
-# plane entries per block of chains in the eigentable slice check
-_EIGEN_BLOCK = 1 << 16
-
-
 def _slice_verdicts(n: int, m: int, q: int, chains, lam: int) -> set[int]:
     """The chain indices of the (chain index, rank-m vector v) pairs with
     A v = lam v at every coordinate, A being A_1 (A_0 = I when m = 0).
 
-    The vectors become (q-1, rows, nv) coefficient planes over the vertices
-    of _relations, _EIGEN_BLOCK plane entries at a time, and each plane
-    takes one product with A.  int64 is used only when (nv + |lam|)
-    max|coeff| < 2^63 bounds every entry on both sides; otherwise the
-    planes hold Python ints.  A zero vector, or one with a term off rank m,
-    is not judged here: it is left out, like a vector that fails.
+    The Grassmann graph is regular, so the rows of A = [R == min(m, 1)]
+    have one width: each vertex gathers its neighbours' coefficients, and
+    ``_image_mismatches`` compares the sums with lam v, reusing the
+    vectors' planes.  A zero vector, or one with a term off rank m or
+    outside B_q(n), is not judged here: it is left out, like a vector that
+    fails.
     """
     vertices, index_of, rel = _relations(q, n, m)
     judged = [
@@ -187,23 +181,11 @@ def _slice_verdicts(n: int, m: int, q: int, chains, lam: int) -> set[int]:
         for ci, vec in chains
         if not vec.is_zero and all(sub in index_of for sub in vec.support())
     ]
-    # int64 also serves object planes: einsum promotes it
-    adj = (rel == min(m, 1)).astype(np.int64)
-    step = max(1, _EIGEN_BLOCK // ((q - 1) * len(vertices)))
-    out: set[int] = set()
-    for lo in range(0, len(judged), step):
-        block = judged[lo : lo + step]
-        vectors = [vec for _, vec in block]
-        dtype = _plane_dtype((len(vertices) + abs(lam)) * _max_coeff(vectors))
-        planes = _planes(vectors, index_of, q, dtype)
-        ok = np.ones(len(block), dtype=bool)
-        # (A v)(X) = sum_Y A[X, Y] v(Y), summed along contiguous rows
-        # of both operands (several times faster than plane @ A), one
-        # coefficient plane at a time so that the temporaries stay small
-        for plane in planes:
-            ok &= (np.einsum("ry,xy->rx", plane, adj) == lam * plane).all(axis=1)
-        out.update(ci for (ci, _), good in zip(block, ok.tolist()) if good)
-    return out
+    neighbours = np.flatnonzero(rel == min(m, 1)).reshape(len(vertices), -1)
+    neighbours %= len(vertices)  # flat positions -> columns
+    vectors = [vec for _, vec in judged]
+    bad = _image_mismatches(vectors, index_of, vectors, index_of, neighbours, lam)
+    return {ci for (ci, _), wrong in zip(judged, bad.tolist()) if not wrong}
 
 
 def _extract_eigenvalue(n: int, m: int, i: int, vec: LatticeVector, ci: int) -> int:

@@ -215,15 +215,22 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     checks.append(Check("singular-values", not bad, bad))
 
     # chain-major first hits: the least (chain, rank) and (chain, rank, chain)
-    # over the rank slices
+    # over the rank slices.  A vector of another space fails chain-shape and
+    # stays out of the products; its pair, or one whose successor is such a
+    # vector, fails the chain condition.
     chain_hits, pair_hits = [], []
     for rank, (owners, vecs, succs) in _rank_slices(basis).items():
-        rows = np.flatnonzero(up_mismatches(vecs, succs))
+        home = [i for i, v in enumerate(vecs) if (v.q, v.n) == (q, n)]
+        both = [i for i in home if (succs[i].q, succs[i].n) == (q, n)]
+        wrong = np.ones(len(vecs), dtype=bool)
+        wrong[both] = up_mismatches([vecs[i] for i in both], [succs[i] for i in both])
+        rows = np.flatnonzero(wrong)
         if len(rows):
             chain_hits.append((owners[rows[0]], rank))
-        pairs = np.argwhere(np.triu(gram(vecs, vecs).any(axis=-1), k=1))
+        pairs = np.argwhere(np.triu(gram([vecs[i] for i in home]).any(axis=-1), k=1))
         if len(pairs):
-            pair_hits.append((owners[pairs[0][0]], rank, owners[pairs[0][1]]))
+            i, j = home[pairs[0][0]], home[pairs[0][1]]
+            pair_hits.append((owners[i], rank, owners[j]))
     bad = ""
     if chain_hits:
         ci, rank = min(chain_hits)

@@ -497,6 +497,91 @@ def test_block_orthogonality_tests_theta_rows_against_the_whole_lattice(monkeypa
     )
 
 
+def _block_orthogonality_scan(n, q):
+    """The first block-orthogonality fault of a pairwise inner scan: each
+    theta image, then each gamma image (character-major), against the
+    embedded basis of B_q(n) and then against every later image of another
+    block."""
+    xs, ys = enumerate_all(n, q), enumerate_all(n - 1, q)
+    images = [(None, x, haction.theta(LatticeVector.basis(x))) for x in xs] + [
+        (chi, y, haction.gamma(chi, LatticeVector.basis(y)))
+        for chi in characters(n, q)
+        for y in ys
+    ]
+    embedded = [LatticeVector.basis(x).embed(n + 1) for x in xs]
+    for i, (chi, x, image) in enumerate(images):
+        name = f"theta image of {x!r}" if chi is None else f"gamma {x!r} (c={chi.c})"
+        if any(not inner(image, e).is_zero for e in embedded):
+            return f"{name} meets the embedded lattice"
+        for chj, z, other in images[i + 1 :]:
+            if chj != chi and not inner(image, other).is_zero:
+                if chi is None:
+                    return f"theta {x!r} not orthogonal to gamma {z!r} (c={chj.c})"
+                return f"gamma blocks c={chi.c} and c={chj.c} not orthogonal ({x!r} vs {z!r})"
+    return None
+
+
+def _gamma_with_extra_terms(extra):
+    """gamma, with extra[(chi, y)] added to the image of (chi, y)."""
+    original = haction.gamma
+
+    def patched(chi, v):
+        image = original(chi, v)
+        for (c, y), more in extra.items():
+            if c == chi and v == LatticeVector.basis(y):
+                image = image + more
+        return image
+
+    return patched
+
+
+def test_block_orthogonality_names_a_gamma_image_on_the_embedded_lattice(monkeypatch):
+    n, q = 2, 3
+    chars, ys = list(characters(n, q)), enumerate_all(n - 1, q)
+    line = LatticeVector.basis(enumerate_rank(n, 1, q)[1].embed(n + 1))
+    # character-major: (chars[2], ys[1]) is met before (chars[5], ys[0])
+    extra = {(chars[5], ys[0]): line, (chars[2], ys[1]): line}
+    monkeypatch.setattr(haction, "gamma", _gamma_with_extra_terms(extra))
+    detail = _decomposition_detail(n, q, "block-orthogonality")
+    assert detail == f"gamma {ys[1]!r} (c={chars[2].c}) meets the embedded lattice"
+    assert detail == _block_orthogonality_scan(n, q)
+
+
+def test_block_orthogonality_names_a_theta_image_meeting_a_gamma_block(monkeypatch):
+    n, q = 2, 3
+    xs, ys, chars = enumerate_all(n, q), enumerate_all(n - 1, q), list(characters(n, q))
+    bad = {
+        xs[4]: gamma(chars[4], LatticeVector.basis(ys[1])),
+        xs[2]: gamma(chars[1], LatticeVector.basis(ys[0])),
+    }
+    original = haction.theta
+
+    def leaky(v):
+        image = original(v)
+        for x, more in bad.items():
+            if v == LatticeVector.basis(x):
+                image = image + more
+        return image
+
+    monkeypatch.setattr(haction, "theta", leaky)
+    detail = _decomposition_detail(n, q, "block-orthogonality")
+    assert detail.startswith(f"theta {xs[2]!r} not orthogonal to gamma ")
+    assert detail == _block_orthogonality_scan(n, q)
+
+
+def test_block_orthogonality_names_two_gamma_blocks_that_meet(monkeypatch):
+    n, q = 3, 2
+    chars, ys = list(characters(n, q)), enumerate_all(n - 1, q)
+    extra = {
+        (chars[4], ys[2]): gamma(chars[6], LatticeVector.basis(ys[3])),
+        (chars[1], ys[4]): gamma(chars[3], LatticeVector.basis(ys[0])),
+    }
+    monkeypatch.setattr(haction, "gamma", _gamma_with_extra_terms(extra))
+    detail = _decomposition_detail(n, q, "block-orthogonality")
+    assert detail.startswith(f"gamma blocks c={chars[1].c} and ")
+    assert detail == _block_orthogonality_scan(n, q)
+
+
 @st.composite
 def package_made_cases(draw):
     """A small lattice with a character, vectors of B_q(n-1), B_q(n) and of

@@ -36,6 +36,7 @@ from qjordan import (
     sjb_to_json,
     ud_du_count,
 )
+import qjordan.lattice as lattice
 import qjordan.scheme as scheme
 from qjordan.qcombinatorics import is_prime
 from qjordan.scheme import _det_prime, _relations
@@ -724,6 +725,25 @@ def test_eigentable_fault_on_a_later_chain_of_its_start_rank(basis_for, fault):
         assert str(info.value) == _first_eigen_fault(n, m, broken)
 
 
+@pytest.mark.parametrize("foreign", ["field", "ambient"])
+def test_eigentable_names_the_chain_of_a_vector_of_another_space(basis_for, foreign):
+    q, n, m = 2, 4, 2
+    basis = basis_for(q, n)
+    twos = _chains_through(basis, m, 2)
+    if foreign == "field":
+        stranger = basis_for(3, n).chains_starting_at(2)[0]
+    else:
+        first = basis.chains[twos[0]]
+        stranger = JordanChain(2, tuple(v.embed(n + 1) for v in first.vectors))
+    # the stranger goes first among the start-2 chains, ahead of sound ones
+    chains = list(basis.chains)
+    chains.insert(twos[0], stranger)
+    with pytest.raises(Exception) as info:
+        eigentable(n, m, SJB(q, n, tuple(chains)))
+    assert type(info.value) is EigenStructureError
+    assert str(info.value) == f"chain {twos[0]}: the rank-{m} vector is not in B_{q}({n})"
+
+
 @pytest.mark.parametrize("image", ["w * v", "3/2 * v"])
 def test_eigentable_rejects_an_eigenvalue_that_is_not_a_rational_integer(
     basis_for, monkeypatch, image
@@ -770,8 +790,8 @@ def test_eigentable_in_small_blocks_any_chain_order_and_past_int64(basis_for, mo
             sub, _ = vec.sorted_items()[0]
             broken = _with_vector(sound, m, ci, vec + LatticeVector.basis(sub))
             cases.append((sound, broken, _first_eigen_fault(n, m, broken)))
-    for block in (1, 1 << 7, scheme._EIGEN_BLOCK):
-        monkeypatch.setattr(scheme, "_EIGEN_BLOCK", block)
+    for block in (1, 1 << 7, lattice._UP_BLOCK):
+        monkeypatch.setattr(lattice, "_UP_BLOCK", block)
         for sound, broken, fault in cases:
             assert eigentable(n, m, sound) == expect
             with pytest.raises(EigenStructureError) as info:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qjordan import (
     SJB,
+    JordanChain,
     LatticeVector,
     Subspace,
     construct_sjb,
@@ -447,6 +448,31 @@ def test_chain_condition_past_the_int64_bound():
     report = verify_sjb(sjb_from_json(payload))
     (check,) = [c for c in report.checks if c.name == "chain-condition"]
     assert not check.passed and check.detail == "chain 0 (start 0): U(x_2) != x_3"
+
+
+@pytest.mark.parametrize("foreign", ["ambient", "field", "successor"])
+def test_a_vector_of_another_space_fails_checks_instead_of_raising(foreign):
+    basis = construct_sjb(4, 2)
+    chains = list(basis.chains)
+    ci = 5
+    chain = chains[ci]
+    if foreign == "ambient":
+        vectors = tuple(v.embed(5) for v in chain.vectors)
+    elif foreign == "field":
+        other = construct_sjb(4, 3).chains_starting_at(chain.start_rank)[0]
+        vectors = other.vectors
+    else:  # only the rank-2 vector: the rank-1 pair has a foreign successor
+        vectors = (chain.vectors[0], chain.vectors[1].embed(5), *chain.vectors[2:])
+    chains[ci] = JordanChain(chain.start_rank, vectors)
+    broken = SJB(basis.q, basis.n, tuple(chains))
+    checks = {c.name: c for c in verify_sjb(broken).checks}
+    k = chain.start_rank
+    rank = k + 1 if foreign == "successor" else k
+    assert checks["chain-shape"].detail == f"chain {ci}, rank {rank}: wrong ambient space"
+    # a pair with a foreign vector or successor is a hit, whatever U does in
+    # that vector's own space
+    assert checks["chain-condition"].detail == f"chain {ci} (start {k}): U(x_{k}) != x_{k + 1}"
+    assert checks["orthogonality"].passed
 
 
 JSON_VALUES = st.recursive(

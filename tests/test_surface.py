@@ -99,3 +99,27 @@ def test_every_traced_entry_point_resolves():
         if owner is None or leaf not in vars(owner):
             missing.append(f"{module}.{attr}")
     assert not missing, f"traced entry points missing from qjordan: {missing}"
+
+
+# how lattice vectors become exact coefficient planes: their layout, their
+# int64-or-object bound and their dtype are lattice.py's alone
+PLANE_FORMAT = {"_planes", "_plane_dtype", "_max_coeff"}
+
+
+def test_the_plane_format_is_named_only_in_lattice():
+    named = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in PLANE_FORMAT:
+                named.setdefault(path.name, set()).add(name)
+    assert not named, f"the plane format is named outside lattice.py: {named}"
