@@ -12,7 +12,7 @@ import sys
 
 from .gflinalg import check_field_order
 from .haction import verify_decomposition
-from .qcombinatorics import verify_identities
+from .qcombinatorics import int_str, verify_identities
 from .scheme import (
     EigenStructureError,
     check_theorem_jg,
@@ -166,13 +166,13 @@ def cmd_trees(args: argparse.Namespace) -> int:
         "q": args.q,
         "n": args.n,
         "m": args.m,
-        "formula": str(formula),
-        "oracle": None if oracle is None else str(oracle),
+        "formula": int_str(formula),
+        "oracle": None if oracle is None else int_str(oracle),
         "match": match,
     }
     _emit(payload, None)
     if args.oracle:
-        print(f"formula {formula} vs oracle {oracle}", file=sys.stderr)
+        print(f"formula {int_str(formula)} vs oracle {int_str(oracle)}", file=sys.stderr)
     return 0 if match in (None, True) else VERIFY_ERROR
 
 
@@ -183,8 +183,8 @@ def cmd_johnson(args: argparse.Namespace) -> int:
     payload = {
         "n": args.n,
         "m": args.m,
-        "tree_formula": str(formula),
-        "tree_oracle": str(oracle),
+        "tree_formula": int_str(formula),
+        "tree_oracle": int_str(oracle),
         "match": formula == oracle,
         "theorem_jg": ok_jg,
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from operator import add
 
-from .qcombinatorics import is_prime, json_int
+from .qcombinatorics import int_str, is_prime, json_int
 
 
 @cache
@@ -248,14 +248,8 @@ class CycInt:
             if a == 0:
                 continue
             unit = "" if j == 0 else ("w" if j == 1 else f"w^{j}")
-            if not unit:
-                parts.append(f"{a:+d}")
-            elif a == 1:
-                parts.append(f"+{unit}")
-            elif a == -1:
-                parts.append(f"-{unit}")
-            else:
-                parts.append(f"{a:+d}{unit}")
+            digits = "" if unit and abs(a) == 1 else int_str(abs(a))
+            parts.append(("-" if a < 0 else "+") + digits + unit)
         s = "".join(parts)
         return s[1:] if s.startswith("+") else s
 

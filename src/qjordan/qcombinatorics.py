@@ -56,6 +56,17 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def int_str(x: int) -> str:
+    """x in decimal, however many digits it has.  str(x) refuses more than
+    sys.get_int_max_str_digits(), a guard meant for parsing input."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal  # its conversion has no digit limit
+
+        return str(Decimal(x))
+
+
 def q_int(k: int, q: int) -> int:
     """The q-integer [k]_q = 1 + q + ... + q^(k-1), with [0]_q = 0."""
     if k < 0:

@@ -245,12 +245,6 @@ _PRIME_BITS = 26
 # _REDUCE_PERIOD products of two residues, and 2^10 (p-1)^2 + p < 2^63 for
 # every p < 2^26, so no int64 overflows.
 _REDUCE_PERIOD = 1 << 10
-# primes eliminated together: one (4, N, N) int64 block, so memory stays
-# a few times the size of one residue matrix
-_PRIME_BLOCK = 4
-# entries of one elimination-update product (128 kB of int64): a whole
-# (4, N, N) product would double the block's memory
-_UPDATE_BLOCK = 1 << 14
 
 
 @cache
@@ -263,48 +257,36 @@ def _det_prime(i: int) -> int:
     return cand
 
 
-def _det_mod_primes(mat, primes: list[int]) -> list[int]:
-    """det(mat) mod each prime, by Gaussian elimination over Z/p.
+def _det_mod(mat, p: int) -> int:
+    """det(mat) mod p, by Gaussian elimination over Z/p of one int64 copy.
 
-    All primes of the block are eliminated at once in one int64 array of
-    shape (P, N, N).  Each prime picks its own pivot row, the first nonzero
-    entry at or below the diagonal; a column with none leaves a zero pivot,
-    so that prime's determinant is 0.  The determinant is the signed
-    product of the pivots.  Each step reduces only the pivot column and
-    the pivot row before using them, and updates the trailing rows about
-    _UPDATE_BLOCK product entries at a time; the whole trailing block is
-    reduced every _REDUCE_PERIOD steps, which bounds every entry (see
+    The pivot of column k is its first nonzero entry at or below the
+    diagonal; a column with none makes the determinant 0.  The determinant
+    is the signed product of the pivots.  Each step reduces only the pivot
+    column and the pivot row before using them; the whole trailing block
+    is reduced every _REDUCE_PERIOD steps, which bounds every entry (see
     _REDUCE_PERIOD).
     """
-    pm = np.array(primes, dtype=np.int64)[:, None]
-    if mat.dtype == object:
-        a = np.stack([(mat % p).astype(np.int64) for p in primes])
-    else:
-        a = mat[None] % pm[:, :, None]
-    size = mat.shape[0]
-    lanes = np.arange(len(primes))
-    det = [1] * len(primes)
-    for k in range(size):
+    a = (mat % p).astype(np.int64)
+    det = 1
+    for k in range(len(a)):
         if k and k % _REDUCE_PERIOD == 0:
-            a[:, k:, k:] %= pm[:, :, None]
-        col = a[:, k:, k]
-        col %= pm
-        piv = k + np.argmax(col != 0, axis=1)
-        swap = piv != k
-        if swap.any():
-            a[lanes, k], a[lanes, piv] = a[lanes, piv], a[lanes, k]
-        row = a[:, k, k + 1 :]
-        row %= pm
-        pivots = a[:, k, k].tolist()
-        for j, (x, p) in enumerate(zip(pivots, primes)):
-            det[j] = det[j] * (p - x if swap[j] else x) % p
-        if k + 1 < size:
-            inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
-            f = a[:, k + 1 :, k] * np.array(inv, dtype=np.int64)[:, None] % pm
-            step = max(1, _UPDATE_BLOCK // f.size)
-            for lo in range(0, size - k - 1, step):
-                hi = lo + step
-                a[:, k + 1 + lo : k + 1 + hi, k + 1 :] -= f[:, lo:hi, None] * row[:, None, :]
+            a[k:, k:] %= p
+        col = a[k:, k]
+        col %= p
+        nonzero = col.nonzero()[0]
+        if not len(nonzero):
+            return 0
+        if nonzero[0]:
+            piv = k + nonzero[0]
+            a[[k, piv], k:] = a[[piv, k], k:]
+            det = -det
+        pivot = int(col[0])
+        det = det * pivot % p
+        row = a[k, k + 1 :]
+        row %= p
+        f = col[1:] * pow(pivot, -1, p) % p
+        a[k + 1 :, k + 1 :] -= f[:, None] * row
     return det
 
 
@@ -312,8 +294,8 @@ def bareiss_det(matrix) -> int:
     """Exact determinant of an integer matrix, by multimodular elimination.
 
     The determinant is taken modulo primes p < 2^26 by Gaussian elimination
-    over Z/p (see _det_mod_primes), _PRIME_BLOCK primes at a time, and
-    lifted by the Chinese remainder theorem to the symmetric residue.  With
+    over Z/p (see _det_mod), one prime at a time, and lifted by the
+    Chinese remainder theorem to the symmetric residue.  With
     H^2 the exact product of the squared row norms, the Hadamard bound gives
     |det| <= H < 2^ceil(bitlen(H^2) / 2); primes are taken until their
     product M exceeds twice that power of two, so the residue in
@@ -333,24 +315,19 @@ def bareiss_det(matrix) -> int:
             return 0
         hadamard2 *= norm2
     log_bound = (hadamard2.bit_length() + 1) // 2
-    primes: list[int] = []
-    modulus = 1
-    # until modulus > 2H = 2^(log_bound + 1); an odd modulus is never equal
-    while modulus.bit_length() <= log_bound + 1:
-        primes.append(_det_prime(len(primes)))
-        modulus *= primes[-1]
     try:
         mat = np.array(rows, dtype=np.int64)
     except OverflowError:
         mat = np.array(rows, dtype=object)
-    residue, modulus = 0, 1
-    for lo in range(0, len(primes), _PRIME_BLOCK):
-        block = primes[lo : lo + _PRIME_BLOCK]
-        for r, p in zip(_det_mod_primes(mat, block), block):
-            # Garner's step: keep residue mod modulus, extend it mod p
-            t = (r - residue) * pow(modulus, -1, p) % p
-            residue += modulus * t
-            modulus *= p
+    residue, modulus, i = 0, 1, 0
+    # until modulus > 2H = 2^(log_bound + 1); an odd modulus is never equal
+    while modulus.bit_length() <= log_bound + 1:
+        p = _det_prime(i)
+        # Garner's step: keep residue mod modulus, extend it mod p
+        t = (_det_mod(mat, p) - residue) * pow(modulus, -1, p) % p
+        residue += modulus * t
+        modulus *= p
+        i += 1
     return residue - modulus if 2 * residue > modulus else residue
 
 

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from qjordan import LatticeVector, Subspace, construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
+from qjordan import (
+    LatticeVector,
+    Subspace,
+    construct_sjb,
+    rooted_tree_count,
+    sjb_from_json,
+    sjb_to_json,
+    verify_sjb,
+)
 from qjordan.cli import main
 from qjordan.gflinalg import MAX_AMBIENT_SIZE
 
@@ -141,6 +149,20 @@ def test_trees_command(capsys):
     assert payload["oracle"] == "117649" and payload["match"] is True
 
 
+def test_trees_prints_a_count_past_the_int_digit_limit(capsys):
+    # the (7,3) count has more digits than str(int) writes by default
+    code, out, err = run_cli(capsys, "trees", "--q", "2", "--n", "7", "--m", "3")
+    assert code == 0, err
+    formula = json.loads(out)["formula"]
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < len(formula)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(formula) == rooted_tree_count(7, 3, 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_johnson_command(capsys):
     code, out, _ = run_cli(capsys, "johnson", "--n", "4", "--m", "1")
     assert code == 0
@@ -166,6 +188,28 @@ def test_verify_non_monomial_coefficient_exits_1(tmp_path, capsys):
     assert code == 1
     failing = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
     assert {"monomial-coefficients", "singular-values"} <= failing
+
+
+def test_verify_reports_a_coefficient_past_the_int_digit_limit(tmp_path, capsys):
+    # a 4,001-digit coefficient parses, and the failing singular-values
+    # detail holds its square of about 8,000 digits; a 5,000-digit literal
+    # is refused at parsing, before any quadratic conversion
+    payload = sjb_to_json(construct_sjb(2, 2))
+    payload["chains"][0]["vectors"][0]["terms"][0]["coeff"] = {"m": "BIG", "j": 0}
+    text = json.dumps(payload)
+    for digits, expect in ((4001, 1), (5000, 2)):
+        path = tmp_path / f"m{digits}.json"
+        path.write_text(text.replace('"BIG"', "7" * digits))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == expect and "Traceback" not in err, digits
+        if expect == 2:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: cannot read basis file") and "4300 digits" in err
+            continue
+        failing = {c["name"]: c.get("detail", "") for c in json.loads(out)["checks"] if not c["passed"]}
+        norm = failing["singular-values"].rsplit(" ", 1)[-1]
+        assert norm.isdigit() and len(norm) > 8000
+        assert "singular-values: " in err
 
 
 def test_python_dash_m_runs_the_cli():

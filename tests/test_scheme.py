@@ -418,14 +418,6 @@ def test_bareiss_det_with_a_short_reduction_period(monkeypatch, bits, period):
         scheme._det_prime.cache_clear()
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_bareiss_det_in_small_update_blocks(monkeypatch, block):
-    # one trailing row per update, and blocks that end mid-matrix, give the
-    # reference determinants (the default block covers many rows at once)
-    monkeypatch.setattr(scheme, "_UPDATE_BLOCK", block)
-    _check_det_against_references(random.Random(block))
-
-
 def _check_det_against_references(rng):
     """bareiss_det against python_int_bareiss, or a closed form, on the
     matrices of test_bareiss_det_matches_python_int_reference and more."""
