@@ -29,6 +29,12 @@ from .sjb import construct_sjb, sjb_from_json, sjb_to_json, verify_sjb
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
+# The longest rooted tree count `trees` computes, in decimal digits.  Writing
+# a count out takes time quadratic in its length: the 532,622-digit count of
+# (q, n, m) = (2, 8, 4) took 5.6 s to print on a 2-core VM.  The cap is
+# judged by a lower bound, so a count that passes it can be a third longer.
+MAX_TREE_COUNT_DIGITS = 500_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -109,10 +115,24 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0 if report.ok else VERIFY_ERROR
 
 
+def _load_json(fh):
+    """json.load, with a message of its own for an integer literal past
+    Python's digit limit: json raises a bare ValueError for that alone
+    (JSONDecodeError and UnicodeDecodeError are subclasses), whose advice
+    to call sys.set_int_max_str_digits() a CLI user cannot follow."""
+    try:
+        return json.load(fh)
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer literal is longer than {limit} digits") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
-            basis = sjb_from_json(json.load(fh))
+            basis = sjb_from_json(_load_json(fh))
     except (OSError, ValueError, RecursionError) as exc:
         message = " ".join(str(exc).split())  # one line, whatever the cause
         return _usage_error(f"cannot read basis file {args.path}: {message}")
@@ -156,7 +176,32 @@ def cmd_scheme(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tree_count_past_cap(n: int, m: int, q: int) -> bool:
+    """Whether rooted_tree_count(n, m, q) surely has more than
+    MAX_TREE_COUNT_DIGITS digits, decided without computing it.
+
+    The count is the product of eig^mult over the nonzero Laplacian
+    eigenvalues, and eig^mult has more than mult * (len(str(eig)) - 1)
+    digits.  For m >= 1 every such eig, [k]_q [n-k+1]_q, is at least [n]_q,
+    and there are [n, m]_q - 1 >= [n]_q - 1 of them, so the count is at
+    least [n]_q^([n]_q - 1).  An n past the cap's bit length has [n]_q >=
+    2^n - 1 > 2 * cap, which puts that bound past the cap before any
+    q-binomial is taken.
+    """
+    if not m:
+        return False  # one vertex, one rooted tree
+    if n > MAX_TREE_COUNT_DIGITS.bit_length():
+        return True
+    spectrum = laplacian_spectrum(n, m, q)[1:]
+    return sum(mult * (len(str(eig)) - 1) for eig, mult in spectrum) >= MAX_TREE_COUNT_DIGITS
+
+
 def cmd_trees(args: argparse.Namespace) -> int:
+    if _tree_count_past_cap(args.n, args.m, args.q):
+        return _usage_error(
+            f"the rooted tree count for q={args.q}, n={args.n}, m={args.m} has more "
+            f"than {MAX_TREE_COUNT_DIGITS} digits, the most trees computes"
+        )
     formula = rooted_tree_count(args.n, args.m, args.q)
     oracle = match = None
     if args.oracle:

@@ -190,8 +190,7 @@ class Subspace:
         return self._hash
 
     def __repr__(self) -> str:
-        cols = [list(map(int, self._mat[:, j])) for j in range(self.k)]
-        return f"Subspace(q={self.q}, n={self.n}, cols={cols})"
+        return f"Subspace(q={self.q}, n={self.n}, cols={self._mat.T.tolist()})"
 
     # -- ambient coercions -----------------------------------------------------
 

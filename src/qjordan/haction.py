@@ -134,8 +134,9 @@ def theta(v: LatticeVector) -> LatticeVector:
 
 
 @cache
-def find_hyperplane(chi: Character, n: int) -> Subspace:
-    """The unique hyperplane of F_q^n whose raised class survives p(chi).
+def find_hyperplane(chi: Character) -> Subspace:
+    """The unique hyperplane of F_q^n (n = chi.n) whose raised class
+    survives p(chi).
 
     p(chi) of x-hat survives exactly when chi is trivial on the stabilizer
     of x-hat.  The vector a fixes x-hat exactly when (a, 1) lies in x-hat,
@@ -144,8 +145,7 @@ def find_hyperplane(chi: Character, n: int) -> Subspace:
     """
     if chi.is_trivial:
         raise ValueError("find_hyperplane requires a nontrivial character")
-    if chi.n != n:
-        raise ValueError(f"character indexed by F_{chi.q}^{chi.n}, asked for n={n}")
+    n = chi.n
     c = np.asarray(chi.c, dtype=np.int64)
     found = [x for x in enumerate_rank(n, n - 1, chi.q) if not (c @ x.matrix % chi.q).any()]
     if len(found) != 1:
@@ -172,7 +172,7 @@ def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
     n = chi.n
     if v.n != n - 1:
         raise ValueError(f"gamma input must live in ambient {n - 1}, got {v.n}")
-    hyper = find_hyperplane(chi, n)
+    hyper = find_hyperplane(chi)
     images = (
         (img, c * coeff)
         for sub, coeff in v.items()

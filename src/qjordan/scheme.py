@@ -126,9 +126,8 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     for all of them, by a gather over the neighbour rows of A_1.  A chain
     that fails that check, or that it cannot judge, goes through the same
     per-chain extraction, so a violation raises the EigenStructureError of
-    the first faulty chain in chain order, with its detail; a rank-m
-    vector outside B_q(n), a zero one and one with a term off rank m are
-    violations too.
+    the first faulty chain in chain order, with its detail; a zero rank-m
+    vector and one with a term off rank m are violations too.
     """
     _check_m(n, m)
     if basis.n != n:
@@ -143,9 +142,6 @@ def eigentable(n: int, m: int, basis: SJB) -> tuple[EigenRow, ...]:
     for pos, (ci, k, vec) in enumerate(through):
         if ci in passed:
             continue
-        if vec.q != basis.q or vec.n != n:
-            fault = f"the rank-{m} vector is not in B_{basis.q}({n})"
-            raise EigenStructureError(f"chain {ci}: {fault}")
         row = tuple(_extract_eigenvalue(n, m, i, vec, ci) for i in range(m + 1))
         if k not in by_start:
             by_start[k] = row
@@ -171,9 +167,8 @@ def _slice_verdicts(n: int, m: int, q: int, chains, lam: int) -> set[int]:
     The Grassmann graph is regular, so the rows of A = [R == min(m, 1)]
     have one width: each vertex gathers its neighbours' coefficients, and
     ``_image_mismatches`` compares the sums with lam v, reusing the
-    vectors' planes.  A zero vector, or one with a term off rank m or
-    outside B_q(n), is not judged here: it is left out, like a vector that
-    fails.
+    vectors' planes.  A zero vector, or one with a term off rank m, is not
+    judged here: it is left out, like a vector that fails.
     """
     vertices, index_of, rel = _relations(q, n, m)
     judged = [

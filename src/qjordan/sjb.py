@@ -44,6 +44,10 @@ class JordanChain:
     start_rank: int
     vectors: tuple[LatticeVector, ...]
 
+    def __post_init__(self):
+        if self.start_rank < 0:
+            raise ValueError(f"start_rank must be >= 0, got {self.start_rank}")
+
     @property
     def end_rank(self) -> int:
         return self.start_rank + len(self.vectors) - 1
@@ -59,6 +63,14 @@ class SJB:
     q: int
     n: int
     chains: tuple[JordanChain, ...]
+
+    def __post_init__(self):
+        for ci, rank, vec in self.iter_vectors():
+            if (vec.q, vec.n) != (self.q, self.n):
+                raise ValueError(
+                    f"chain {ci}, rank {rank}: vector of B_{vec.q}({vec.n}), "
+                    f"not of B_{self.q}({self.n})"
+                )
 
     def iter_vectors(self):
         for ci, chain in enumerate(self.chains):
@@ -171,8 +183,6 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
             for rank, vec in enumerate(chain.vectors, k):
                 if vec.ranks() != {rank}:
                     yield f"chain {ci} (start {k}), rank {rank}: not homogeneous of that rank"
-                if vec.q != q or vec.n != n:
-                    yield f"chain {ci}, rank {rank}: wrong ambient space"
 
     bad = next(shape_faults(), "")
     checks.append(Check("chain-shape", not bad, bad))
@@ -200,8 +210,6 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     def norm_faults():
         for ci, chain in enumerate(basis.chains):
             k = chain.start_rank
-            if k < 0:
-                continue  # no singular value is defined; chain-shape fails it
             # compared in Z[w]: a tampered coefficient can make a norm irrational
             norms = [inner(v, v) for v in chain.vectors]
             # only the consecutive norms the chain has: a chain that stops
@@ -215,21 +223,15 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     checks.append(Check("singular-values", not bad, bad))
 
     # chain-major first hits: the least (chain, rank) and (chain, rank, chain)
-    # over the rank slices.  A vector of another space fails chain-shape and
-    # stays out of the products; its pair, or one whose successor is such a
-    # vector, fails the chain condition.
+    # over the rank slices
     chain_hits, pair_hits = [], []
     for rank, (owners, vecs, succs) in _rank_slices(basis).items():
-        home = [i for i, v in enumerate(vecs) if (v.q, v.n) == (q, n)]
-        both = [i for i in home if (succs[i].q, succs[i].n) == (q, n)]
-        wrong = np.ones(len(vecs), dtype=bool)
-        wrong[both] = up_mismatches([vecs[i] for i in both], [succs[i] for i in both])
-        rows = np.flatnonzero(wrong)
+        rows = np.flatnonzero(up_mismatches(vecs, succs))
         if len(rows):
             chain_hits.append((owners[rows[0]], rank))
-        pairs = np.argwhere(np.triu(gram([vecs[i] for i in home]).any(axis=-1), k=1))
+        pairs = np.argwhere(np.triu(gram(vecs).any(axis=-1), k=1))
         if len(pairs):
-            i, j = home[pairs[0][0]], home[pairs[0][1]]
+            i, j = pairs[0]
             pair_hits.append((owners[i], rank, owners[j]))
     bad = ""
     if chain_hits:
@@ -288,10 +290,7 @@ def sjb_from_json(obj) -> SJB:
                 if json_int(v["q"], "vector q") != q or json_int(v["n"], "vector n") != n:
                     raise ValueError("vector does not match the basis header")
                 vectors.append(LatticeVector.from_json(v))
-            start = json_int(entry["start_rank"], "start_rank")
-            if start < 0:
-                raise ValueError(f"start_rank must be >= 0, got {start}")
-            chains.append(JordanChain(start, tuple(vectors)))
+            chains.append(JordanChain(json_int(entry["start_rank"], "start_rank"), tuple(vectors)))
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         # q >= 2, so an n of the cap's bit length is past it: no huge power

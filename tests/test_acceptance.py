@@ -101,7 +101,7 @@ def test_criterion_3_worked_example():
         and p_chi(chi, x4.hat()).is_zero
         and not survivor.is_zero
         and inner(survivor, survivor).to_int() == 27
-        and find_hyperplane(chi, 2) == x3
+        and find_hyperplane(chi) == x3
     )
     report_line("criterion 3: q=3 worked example", ok)
 

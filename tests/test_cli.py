@@ -18,8 +18,10 @@ from qjordan import (
     sjb_to_json,
     verify_sjb,
 )
+from qjordan import cli
 from qjordan.cli import main
 from qjordan.gflinalg import MAX_AMBIENT_SIZE
+from qjordan.qcombinatorics import int_str
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +165,26 @@ def test_trees_prints_a_count_past_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("q, n, m", [(2, 2000, 1), (2, 18, 1), (2, 16, 8), (3, 40, 20)])
+def test_trees_refuses_a_count_past_the_digit_cap(capsys, q, n, m):
+    code, out, err = run_cli(capsys, "trees", "--q", str(q), "--n", str(n), "--m", str(m))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"more than {cli.MAX_TREE_COUNT_DIGITS} digits" in err
+
+
+def test_trees_digit_cap_never_refuses_a_count_that_fits(monkeypatch):
+    # at a cap equal to the count's own length the count fits; at a cap of
+    # two digits it does not
+    for q, n, m in [(2, 3, 1), (2, 6, 3), (3, 4, 2), (5, 3, 1), (2, 7, 3), (7, 4, 1)]:
+        digits = len(int_str(rooted_tree_count(n, m, q)))
+        monkeypatch.setattr(cli, "MAX_TREE_COUNT_DIGITS", digits)
+        assert not cli._tree_count_past_cap(n, m, q), (q, n, m)
+        monkeypatch.setattr(cli, "MAX_TREE_COUNT_DIGITS", 2)
+        assert cli._tree_count_past_cap(n, m, q), (q, n, m)
+    assert not cli._tree_count_past_cap(2000, 0, 2)
+
+
 def test_johnson_command(capsys):
     code, out, _ = run_cli(capsys, "johnson", "--n", "4", "--m", "1")
     assert code == 0
@@ -205,6 +227,7 @@ def test_verify_reports_a_coefficient_past_the_int_digit_limit(tmp_path, capsys)
         if expect == 2:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("error: cannot read basis file") and "4300 digits" in err
+            assert "integer literal" in err and "set_int_max_str_digits" not in err
             continue
         failing = {c["name"]: c.get("detail", "") for c in json.loads(out)["checks"] if not c["passed"]}
         norm = failing["singular-values"].rsplit(" ", 1)[-1]

@@ -126,7 +126,7 @@ def test_p_chi_worked_example_q3():
     survivor = p_chi(chi, spans[3].hat())
     assert not survivor.is_zero
     assert inner(survivor, survivor).to_int() == 27  # q^(n+k) = 3^(2+1)
-    assert find_hyperplane(chi, 2) == spans[3]
+    assert find_hyperplane(chi) == spans[3]
 
 
 def test_p_chi_vanishing_matches_stabilizer_criterion():
@@ -163,13 +163,13 @@ def test_theta_scaling_and_intertwining():
 
 
 def test_find_hyperplane_examples_and_kernel_characterization():
-    assert find_hyperplane(Character(2, (1,)), 1) == Subspace.zero(2, 1)
-    assert find_hyperplane(Character(2, (1, 0)), 2) == Subspace.span(2, 2, [(0, 1)])
+    assert find_hyperplane(Character(2, (1,))) == Subspace.zero(2, 1)
+    assert find_hyperplane(Character(2, (1, 0))) == Subspace.span(2, 2, [(0, 1)])
     with pytest.raises(ValueError):
-        find_hyperplane(Character(2, (0, 0)), 2)
+        find_hyperplane(Character(2, (0, 0)))
     for q, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]:
         for chi in characters(n, q):
-            hyper = find_hyperplane(chi, n)
+            hyper = find_hyperplane(chi)
             kernel = [
                 v
                 for v in group_vectors(n, q)
@@ -182,7 +182,7 @@ def test_find_hyperplane_examples_and_kernel_characterization():
 def test_characters_per_hyperplane():
     for q, n in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]:
         for hyper in enumerate_rank(n, n - 1, q):
-            hits = [chi for chi in characters(n, q) if find_hyperplane(chi, n) == hyper]
+            hits = [chi for chi in characters(n, q) if find_hyperplane(chi) == hyper]
             assert len(hits) == q - 1
 
 
@@ -310,7 +310,7 @@ def test_gamma_is_the_sum_of_its_projected_terms(case):
     from qjordan.haction import _mu_hat
 
     chi, v = case
-    hyper = find_hyperplane(chi, chi.n)
+    hyper = find_hyperplane(chi)
     expect = sum(
         (coeff * p_chi(chi, _mu_hat(hyper, sub)) for sub, coeff in v.items()),
         LatticeVector.zero(v.q, chi.n + 1),

@@ -718,22 +718,23 @@ def test_eigentable_fault_on_a_later_chain_of_its_start_rank(basis_for, fault):
 
 
 @pytest.mark.parametrize("foreign", ["field", "ambient"])
-def test_eigentable_names_the_chain_of_a_vector_of_another_space(basis_for, foreign):
+def test_a_basis_holding_a_vector_of_another_space_never_reaches_eigentable(basis_for, foreign):
     q, n, m = 2, 4, 2
     basis = basis_for(q, n)
     twos = _chains_through(basis, m, 2)
     if foreign == "field":
         stranger = basis_for(3, n).chains_starting_at(2)[0]
+        space = f"B_3({n})"
     else:
         first = basis.chains[twos[0]]
         stranger = JordanChain(2, tuple(v.embed(n + 1) for v in first.vectors))
+        space = f"B_{q}({n + 1})"
     # the stranger goes first among the start-2 chains, ahead of sound ones
     chains = list(basis.chains)
     chains.insert(twos[0], stranger)
-    with pytest.raises(Exception) as info:
-        eigentable(n, m, SJB(q, n, tuple(chains)))
-    assert type(info.value) is EigenStructureError
-    assert str(info.value) == f"chain {twos[0]}: the rank-{m} vector is not in B_{q}({n})"
+    with pytest.raises(ValueError) as info:
+        SJB(q, n, tuple(chains))
+    assert str(info.value) == f"chain {twos[0]}, rank 2: vector of {space}, not of B_{q}({n})"
 
 
 @pytest.mark.parametrize("image", ["w * v", "3/2 * v"])

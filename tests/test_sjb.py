@@ -451,7 +451,7 @@ def test_chain_condition_past_the_int64_bound():
 
 
 @pytest.mark.parametrize("foreign", ["ambient", "field", "successor"])
-def test_a_vector_of_another_space_fails_checks_instead_of_raising(foreign):
+def test_sjb_refuses_a_vector_of_another_space(foreign):
     basis = construct_sjb(4, 2)
     chains = list(basis.chains)
     ci = 5
@@ -461,18 +461,24 @@ def test_a_vector_of_another_space_fails_checks_instead_of_raising(foreign):
     elif foreign == "field":
         other = construct_sjb(4, 3).chains_starting_at(chain.start_rank)[0]
         vectors = other.vectors
-    else:  # only the rank-2 vector: the rank-1 pair has a foreign successor
+    else:  # only the rank-2 vector
         vectors = (chain.vectors[0], chain.vectors[1].embed(5), *chain.vectors[2:])
     chains[ci] = JordanChain(chain.start_rank, vectors)
-    broken = SJB(basis.q, basis.n, tuple(chains))
-    checks = {c.name: c for c in verify_sjb(broken).checks}
     k = chain.start_rank
     rank = k + 1 if foreign == "successor" else k
-    assert checks["chain-shape"].detail == f"chain {ci}, rank {rank}: wrong ambient space"
-    # a pair with a foreign vector or successor is a hit, whatever U does in
-    # that vector's own space
-    assert checks["chain-condition"].detail == f"chain {ci} (start {k}): U(x_{k}) != x_{k + 1}"
-    assert checks["orthogonality"].passed
+    q, n = (3, 4) if foreign == "field" else (2, 5)
+    with pytest.raises(ValueError) as info:
+        SJB(basis.q, basis.n, tuple(chains))
+    assert str(info.value) == f"chain {ci}, rank {rank}: vector of B_{q}({n}), not of B_2(4)"
+
+
+def test_jordan_chain_refuses_a_negative_start_rank():
+    with pytest.raises(ValueError, match=r"^start_rank must be >= 0, got -1$"):
+        JordanChain(-1, ())
+    doc = sjb_to_json(construct_sjb(2, 2))
+    doc["chains"][0]["start_rank"] = -1
+    with pytest.raises(ValueError, match=r"^start_rank must be >= 0, got -1$"):
+        sjb_from_json(doc)
 
 
 JSON_VALUES = st.recursive(
