@@ -12,7 +12,7 @@ import sys
 
 from .gflinalg import check_field_order
 from .haction import verify_decomposition
-from .qcombinatorics import int_str, verify_identities
+from .qcombinatorics import galois_number, int_str, verify_identities
 from .scheme import (
     EigenStructureError,
     check_theorem_jg,
@@ -34,6 +34,13 @@ VERIFY_ERROR = 1
 # (q, n, m) = (2, 8, 4) took 5.6 s to print on a 2-core VM.  The cap is
 # judged by a lower bound, so a count that passes it can be a third longer.
 MAX_TREE_COUNT_DIGITS = 500_000
+# The most bytes the one Gram matrix of `decompose` may take: its (q-1) N^2
+# int64 entries for the N = G(n) + (q^n - 1) G(n-1) images outside the
+# hyperplane.  That is 572 MiB at (q, n) = (7, 3), the largest size below
+# the cap, and 5.2 GiB at (2, 6), the smallest binary size past it.  The
+# whole command peaks at about three Grams plus the interpreter: 172 MB
+# for the 46 MiB Gram of (2, 5) on a 2-core VM.
+MAX_DECOMPOSE_GRAM_BYTES = 2**30
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +149,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else VERIFY_ERROR
 
 
+def _decompose_gram_past_cap(n: int, q: int) -> bool:
+    """Whether the Gram matrix of verify_decomposition(n, q) takes more than
+    MAX_DECOMPOSE_GRAM_BYTES, decided before any of it is built.  There are
+    more than q^n - 1 >= 2^n - 1 images, so an n past the cap's bit length
+    is past the cap before any q-binomial is taken."""
+    if n > MAX_DECOMPOSE_GRAM_BYTES.bit_length():
+        return True
+    images = galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q)
+    return (q - 1) * images**2 * 8 > MAX_DECOMPOSE_GRAM_BYTES
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
+    if _decompose_gram_past_cap(args.n, args.q):
+        return _usage_error(
+            f"the Gram matrix of decompose for q={args.q}, n={args.n} takes more "
+            f"than {MAX_DECOMPOSE_GRAM_BYTES} bytes, the most decompose holds"
+        )
     report = verify_decomposition(args.n, args.q)
     _emit(report.to_json(), None)
     print(report.summary(), file=sys.stderr)

@@ -16,7 +16,7 @@ is read off a single coefficient slot (see :mod:`qjordan.scheme`).
 from __future__ import annotations
 
 from functools import cache
-from operator import add
+from operator import add, index
 
 from .qcombinatorics import int_str, is_prime, json_int
 
@@ -37,7 +37,7 @@ class CycInt:
         if len(coeffs) != p - 1:
             raise ValueError(f"need exactly {p - 1} coefficients for p={p}, got {len(coeffs)}")
         _set_p(self, p)
-        _set_coeffs(self, tuple(int(a) for a in coeffs))
+        _set_coeffs(self, tuple(index(a) for a in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
@@ -70,7 +70,7 @@ class CycInt:
     def monomial(cls, p: int, m: int, j: int) -> CycInt:
         """The element m * w^j."""
         _check_prime(p)
-        return cls._monomial(p, int(m), j)
+        return cls._monomial(p, index(m), j)
 
     @classmethod
     def _monomial(cls, p: int, m: int, j: int) -> CycInt:

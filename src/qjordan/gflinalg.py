@@ -68,15 +68,10 @@ def subspaces_from_matrix_batch(q: int, mats: np.ndarray) -> list["Subspace"]:
     enumeration reduce thousands of tiny matrices at once this way.
     """
     inv = inv_table(q)
-    nb, n, c = mats.shape
-    if c == 0:
-        return [Subspace.zero(q, n)] * nb
+    nb, n, _ = mats.shape
     t = np.ascontiguousarray(np.transpose(mats, (0, 2, 1)) % q)
     ranks = _kernels.rref_batch(t, q, inv)
-    return [
-        Subspace._make(q, n, np.ascontiguousarray(t[b, : ranks[b]].T))
-        for b in range(nb)
-    ]
+    return [Subspace._make(q, n, t[b, : ranks[b]].T) for b in range(nb)]
 
 
 def free_positions(n: int, pivots) -> list[tuple[int, int]]:

@@ -209,13 +209,8 @@ def verify_decomposition(n: int, q: int) -> Report:
     expected = galois_number(n + 1, q)
     recurrence = 2 * galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q)
     ok = produced == expected == recurrence and not any(v.is_zero for v in outside)
-    checks.append(
-        Check(
-            "dimension-count",
-            ok,
-            "" if ok else f"produced {produced}, lattice dim {expected}, recurrence {recurrence}",
-        )
-    )
+    bad = "" if ok else f"produced {produced}, lattice dim {expected}, recurrence {recurrence}"
+    checks.append(Check("dimension-count", bad))
 
     # theta and gamma raise rank by one: each image's support has exactly
     # the dimension of its input plus one (a zero image has none)
@@ -227,7 +222,7 @@ def verify_decomposition(n: int, q: int) -> Report:
         ),
         "",
     )
-    checks.append(Check("rankset-trivial-block", not bad, bad))
+    checks.append(Check("rankset-trivial-block", bad))
     bad = next(
         (
             f"gamma image of {y!r} under c={chi.c} has wrong rank"
@@ -236,14 +231,14 @@ def verify_decomposition(n: int, q: int) -> Report:
         ),
         "",
     )
-    checks.append(Check("rankset-character-blocks", not bad, bad))
+    checks.append(Check("rankset-character-blocks", bad))
 
     # up-operator splitting: U_(n+1) x = U_n x + theta x on basis elements
     up_x = [up_apply(LatticeVector.basis(x)) for x in xs]
     split = [u.embed(n + 1) + img for u, img in zip(up_x, theta_images)]
     hit = _first_true(up_mismatches(embedded, split))
     bad = "" if hit is None else f"splitting fails on {xs[hit[0]]!r}"
-    checks.append(Check("up-splitting", not bad, bad))
+    checks.append(Check("up-splitting", bad))
 
     # inner products: the Gram matrix of the theta and gamma images (which
     # live outside the hyperplane) against the diagonal it should be, and
@@ -266,19 +261,19 @@ def verify_decomposition(n: int, q: int) -> Report:
     if hit is not None:
         x, y = xs[hit[0]], xs[hit[1]]
         bad = _scaling_fault("theta", x, y, q ** (n - x.k))
-    checks.append(Check("theta-scaling", not bad, bad))
+    checks.append(Check("theta-scaling", bad))
 
     hit = _first_true(scaling[nt:, nt:])
     bad = ""
     if hit is not None:
         (chi, y), (_, z) = pairs[hit[0]], pairs[hit[1]]
         bad = f"c={chi.c}: " + _scaling_fault("gamma", y, z, q ** (n + y.k))
-    checks.append(Check("gamma-scaling", not bad, bad))
+    checks.append(Check("gamma-scaling", bad))
 
     # intertwining: theta(q U v) = U theta(v), gamma(U v) = U gamma(v)
     hit = _first_true(up_mismatches(theta_images, [theta(u * q) for u in up_x]))
     bad = "" if hit is None else f"theta intertwining fails on {xs[hit[0]]!r}"
-    checks.append(Check("theta-intertwining", not bad, bad))
+    checks.append(Check("theta-intertwining", bad))
 
     up_y = {y: up_apply(LatticeVector.basis(y)) for y in ys}
     hit = _first_true(up_mismatches(gamma_images, [gamma(chi, up_y[y]) for chi, y in pairs]))
@@ -286,7 +281,7 @@ def verify_decomposition(n: int, q: int) -> Report:
     if hit is not None:
         chi, y = pairs[hit[0]]
         bad = f"gamma intertwining fails on {y!r} for c={chi.c}"
-    checks.append(Check("gamma-intertwining", not bad, bad))
+    checks.append(Check("gamma-intertwining", bad))
 
     # orthogonality across blocks, in the order of a pairwise scan: each
     # theta or gamma image against the whole embedded lattice, then a theta
@@ -311,7 +306,7 @@ def verify_decomposition(n: int, q: int) -> Report:
             else:
                 chj, z = pairs[j - 1 - nt]
                 bad = f"gamma blocks c={chi.c} and c={chj.c} not orthogonal ({y!r} vs {z!r})"
-    checks.append(Check("block-orthogonality", not bad, bad))
+    checks.append(Check("block-orthogonality", bad))
 
     # each hyperplane is hit by exactly q-1 characters
     hits = (
@@ -322,7 +317,7 @@ def verify_decomposition(n: int, q: int) -> Report:
         (f"{x!r} survives for {h} characters, expected {q - 1}" for x, h in hits if h != q - 1),
         "",
     )
-    checks.append(Check("characters-per-hyperplane", not bad, bad))
+    checks.append(Check("characters-per-hyperplane", bad))
 
     return Report(tuple(checks))
 

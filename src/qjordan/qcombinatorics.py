@@ -118,15 +118,12 @@ def verify_identities(n_max: int, q: int) -> Report:
     for n in range(1, n_max + 1):
         lhs = galois_number(n + 1, q)
         rhs = 2 * galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q)
-        checks.append(
-            Check(
-                f"goldman-rota n={n}",
-                lhs == rhs,
-                "" if lhs == rhs else f"G({n + 1}) = {lhs} != {rhs}",
-            )
-        )
+        bad = "" if lhs == rhs else f"G({n + 1}) = {lhs} != {rhs}"
+        checks.append(Check(f"goldman-rota n={n}", bad))
 
-        # the rank-refined recursion and q-Pascal's rule, each for every k
+        # the rank-refined recursion and, for every k, the q-Pascal rule
+        # dual to the one q_binomial is computed by:
+        # [n, j]_q = q^(n-j) [n-1, j-1]_q + [n-1, j]_q at j = k - 1
         refined = (
             (k, q_binomial(n + 1, k, q), q_binomial(n, k, q) + q_binomial(n, k - 1, q)
              + (q**n - 1) * q_binomial(n - 1, k - 1, q))
@@ -134,10 +131,10 @@ def verify_identities(n_max: int, q: int) -> Report:
         )
         pascal = (
             (k, q_binomial(n, k - 1, q),
-             q_binomial(n - 1, k - 2, q) + q ** (k - 1) * q_binomial(n - 1, k - 1, q))
+             q ** (n - k + 1) * q_binomial(n - 1, k - 2, q) + q_binomial(n - 1, k - 1, q))
             for k in range(1, n + 1)
         )
         for name, sides in (("refined-recursion", refined), ("q-pascal", pascal)):
             bad = next((f"k={k}: {lhs} != {rhs}" for k, lhs, rhs in sides if lhs != rhs), "")
-            checks.append(Check(f"{name} n={n}", not bad, bad))
+            checks.append(Check(f"{name} n={n}", bad))
     return Report(tuple(checks))

@@ -7,15 +7,21 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of a single named check.
-
-    ``detail`` names the offending object (chain, rank, subspace, ...) when
-    the check failed; it may also carry context for passing checks.
-    """
+    """Outcome of a single named check: it passes exactly when ``detail``,
+    which names the offending object (chain, rank, subspace, ...), is
+    empty."""
 
     name: str
-    passed: bool
     detail: str = ""
+
+    def __post_init__(self):
+        # a bool detail, as in Check(name, ok), would make False a pass
+        if not isinstance(self.detail, str):
+            raise TypeError(f"Check detail must be a str, got {type(self.detail).__name__}")
+
+    @property
+    def passed(self) -> bool:
+        return not self.detail
 
     def to_json(self) -> dict:
         out: dict = {"name": self.name, "passed": self.passed}

@@ -173,7 +173,7 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     total = basis.vector_count
     expected = galois_number(n, q)
     bad = "" if total == expected else f"{total} vectors != Galois number {expected}"
-    checks.append(Check("total-count", not bad, bad))
+    checks.append(Check("total-count", bad))
 
     def shape_faults():
         for ci, chain in enumerate(basis.chains):
@@ -185,7 +185,7 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
                     yield f"chain {ci} (start {k}), rank {rank}: not homogeneous of that rank"
 
     bad = next(shape_faults(), "")
-    checks.append(Check("chain-shape", not bad, bad))
+    checks.append(Check("chain-shape", bad))
 
     counts = (
         (k, len(basis.chains_starting_at(k)), q_binomial(n, k, q) - q_binomial(n, k - 1, q))
@@ -193,7 +193,7 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     )
     faults = (f"{got} chains start at rank {k}, expected {e}" for k, got, e in counts if got != e)
     bad = next(faults, "")
-    checks.append(Check("chain-counts", not bad, bad))
+    checks.append(Check("chain-counts", bad))
 
     bad = next(
         (
@@ -205,7 +205,7 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
         ),
         "",
     )
-    checks.append(Check("monomial-coefficients", not bad, bad))
+    checks.append(Check("monomial-coefficients", bad))
 
     def norm_faults():
         for ci, chain in enumerate(basis.chains):
@@ -220,7 +220,7 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
                     yield f"chain {ci} (start {k}): |x_{u + 1}|^2 = {norms[u + 1 - k]} != {expect}"
 
     bad = next(norm_faults(), "")
-    checks.append(Check("singular-values", not bad, bad))
+    checks.append(Check("singular-values", bad))
 
     # chain-major first hits: the least (chain, rank) and (chain, rank, chain)
     # over the rank slices
@@ -237,12 +237,12 @@ def verify_sjb(basis: SJB, mode: str = "full") -> Report:
     if chain_hits:
         ci, rank = min(chain_hits)
         bad = f"chain {ci} (start {basis.chains[ci].start_rank}): U(x_{rank}) != x_{rank + 1}"
-    checks.append(Check("chain-condition", not bad, bad))
+    checks.append(Check("chain-condition", bad))
     bad = ""
     if pair_hits:
         ci, rank, cj = min(pair_hits)
         bad = f"vectors of chains {ci} and {cj} at rank {rank} are not orthogonal"
-    checks.append(Check("orthogonality", not bad, bad))
+    checks.append(Check("orthogonality", bad))
     return Report(tuple(checks))
 
 

@@ -18,9 +18,10 @@ from qjordan import (
     sjb_to_json,
     verify_sjb,
 )
-from qjordan import cli
+from qjordan import cli, haction
 from qjordan.cli import main
 from qjordan.gflinalg import MAX_AMBIENT_SIZE
+from qjordan.lattice import gram
 from qjordan.qcombinatorics import int_str
 
 
@@ -123,6 +124,36 @@ def test_decompose(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert any(c["name"] == "up-splitting" for c in report["checks"])
+
+
+@pytest.mark.parametrize("q, n", [(2, 40), (3, 5), (2, 6), (2, 10**9), (127, 2)])
+def test_decompose_refuses_a_gram_past_the_cap(capsys, q, n):
+    code, out, err = run_cli(capsys, "decompose", "--q", str(q), "--n", str(n))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"more than {cli.MAX_DECOMPOSE_GRAM_BYTES} bytes" in err
+
+
+def test_decompose_gram_cap_is_the_gram_it_takes(monkeypatch):
+    # the sizes the benchmark's verify workload and the README run, and the
+    # larger ones that should still run, fit under the cap
+    for q, n in [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (5, 3), (7, 3)]:
+        assert not cli._decompose_gram_past_cap(n, q), (q, n)
+    # at a cap of exactly the Gram verify_decomposition builds it fits; one
+    # byte less and it does not
+    grams = []
+
+    def recorded(vectors):
+        grams.append(gram(vectors))
+        return grams[-1]
+
+    monkeypatch.setattr(haction, "gram", recorded)
+    for q, n in [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)]:
+        haction.verify_decomposition(n, q)
+        monkeypatch.setattr(cli, "MAX_DECOMPOSE_GRAM_BYTES", grams[-1].nbytes)
+        assert not cli._decompose_gram_past_cap(n, q), (q, n)
+        monkeypatch.setattr(cli, "MAX_DECOMPOSE_GRAM_BYTES", grams[-1].nbytes - 1)
+        assert cli._decompose_gram_past_cap(n, q), (q, n)
 
 
 def test_scheme_command(capsys):

@@ -1,6 +1,7 @@
 """Ring laws and normal-form behavior of the cyclotomic integers."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ def test_mixed_prime_rejected():
         CycInt.one(2) * CycInt.omega(3)
     with pytest.raises(ValueError):
         CycInt(4, (1, 1, 1))
+
+
+def test_constructor_refuses_non_integers():
+    # int() would truncate the float and parse the string
+    for bad in (1.7, "2", Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            CycInt(3, (bad, 0))
+    with pytest.raises(TypeError):
+        CycInt.monomial(3, 1.5, 0)
+    x = CycInt(3, (np.int64(1), np.int8(-2)))
+    assert x == CycInt(3, (1, -2)) and all(type(a) is int for a in x.coeffs)
 
 
 def test_json_roundtrip():

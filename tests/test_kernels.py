@@ -14,16 +14,23 @@ def random_batch(rng, q, count=200, rows=5, cols=7):
     return rng.integers(0, q, size=(count, rows, cols)).astype(np.int64)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 127])
 def test_rref_batch_matches_naive(q):
     rng = np.random.default_rng(42 + q)
-    mats = random_batch(rng, q)
-    work = mats.copy()
-    ranks = _kernels.rref_batch(work, q, inv_table(q))
-    for b in range(mats.shape[0]):
-        expect, rank = naive_rref(mats[b], q)
-        assert ranks[b] == rank
-        assert work[b].tolist() == expect
+    batches = [random_batch(rng, q)]
+    # mixed ranks, one row, one column, no rows, no columns, no matrices
+    shapes = [(4, 4), (3, 7), (7, 3), (1, 5), (5, 1)]
+    batches += [low_rank_batch(rng, q, 40, rows, cols) for rows, cols in shapes]
+    batches += [np.zeros(shape, dtype=np.int64) for shape in [(3, 0, 4), (3, 4, 0), (0, 3, 4)]]
+    for mats in batches:
+        work = mats.copy()
+        ranks = _kernels.rref_batch(work, q, inv_table(q))
+        assert work.shape == mats.shape
+        assert ranks.dtype == np.int64 and len(ranks) == len(mats)
+        for b in range(mats.shape[0]):
+            expect, rank = naive_rref(mats[b], q)
+            assert ranks[b] == rank
+            assert work[b].tolist() == expect
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -1,10 +1,12 @@
 """q-integers, Gaussian binomials and Galois numbers against brute force."""
 
+from functools import cache
 from itertools import product
 
 import pytest
 
-from qjordan import galois_number, is_prime, q_binomial, q_int, verify_identities
+from qjordan import Check, galois_number, is_prime, q_binomial, q_int, verify_identities
+from qjordan import qcombinatorics
 from qjordan.lattice import enumerate_rank
 
 from fq import span_set
@@ -109,6 +111,33 @@ def test_verify_identities_reports():
         assert report.ok, report.summary()
     with pytest.raises(ValueError):
         verify_identities(0, 2)
+
+
+def test_check_passes_exactly_when_it_names_no_fault():
+    assert Check("x").passed and Check("x").to_json() == {"name": "x", "passed": True}
+    fault = Check("x", "fault")
+    assert not fault.passed
+    assert fault.to_json() == {"name": "x", "passed": False, "detail": "fault"}
+    with pytest.raises(TypeError):
+        Check("x", False)
+
+
+def test_q_pascal_check_is_not_the_recurrence_q_binomial_runs(monkeypatch):
+    # q_binomial's own recurrence from a wrong corner, [n, n]_q = 2: every
+    # instance of that recurrence still holds, so only the dual rule fails
+    @cache
+    def wrong(n, k, q):
+        if n < 0 or k < 0 or k > n:
+            return 0
+        if k == 0:
+            return 1
+        if k == n:
+            return 2
+        return wrong(n - 1, k - 1, q) + q**k * wrong(n - 1, k, q)
+
+    monkeypatch.setattr(qcombinatorics, "q_binomial", wrong)
+    failed = {c.name.split()[0] for c in verify_identities(4, 2).failures()}
+    assert "q-pascal" in failed
 
 
 def test_is_prime():
