@@ -122,8 +122,16 @@ class Subspace:
     @classmethod
     def from_matrix(cls, q: int, mat) -> Subspace:
         """Canonicalize the column space of an arbitrary matrix over F_q,
-        as a batch of one."""
-        m = np.asarray(mat, dtype=np.int64)
+        as a batch of one.  Entries must be Python or numpy ints: a float,
+        str or bool entry raises TypeError instead of being cast."""
+        m = np.asarray(mat)
+        # an empty matrix has no entry to refuse ([[], []] reads as float);
+        # ints past int64 read as object and overflow below, as before
+        if m.dtype.kind not in "iu":
+            for x in m.flat:
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise TypeError(f"matrix entries must be integers, got {type(x).__name__}")
+        m = m.astype(np.int64, copy=False)
         if m.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
         return subspaces_from_matrix_batch(q, m[None])[0]

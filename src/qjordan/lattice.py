@@ -8,13 +8,13 @@ orthonormal basis and is conjugate-linear in its second argument.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .cyclotomic import CycInt
-from .gflinalg import Subspace, free_positions, inv_table, subspaces_from_matrix_batch
+from .gflinalg import _INT, Subspace, free_positions, inv_table, subspaces_from_matrix_batch
 from .qcombinatorics import json_int, q_binomial
 
 
@@ -226,27 +226,11 @@ class LatticeVector:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = self._terms
-        return {
-            "n": self.n,
-            "q": self.q,
-            "terms": [
-                {"subspace": s.to_json(), "coeff": terms[s].to_json()}
-                for s in sorted(terms, key=Subspace.sort_key)
-            ],
-        }
+        return _vector_json(self, {})
 
     @classmethod
     def from_json(cls, obj: dict) -> LatticeVector:
-        q, n = json_int(obj["q"], "vector q"), json_int(obj["n"], "vector n")
-        terms: dict[Subspace, CycInt] = {}
-        for item in obj["terms"]:
-            sub = Subspace.from_json(q, item["subspace"])
-            coeff = CycInt.from_json(q, item["coeff"])
-            if sub in terms:
-                raise ValueError(f"duplicate subspace in serialized vector: {sub!r}")
-            terms[sub] = coeff
-        return cls(q, n, terms)
+        return _vector_from_json(obj, {})
 
 
 # the slots' own descriptors: the constructors fill a new vector through
@@ -255,6 +239,80 @@ _new = object.__new__
 _set_q = LatticeVector.q.__set__
 _set_n = LatticeVector.n.__set__
 _set_terms = LatticeVector._terms.__set__
+
+
+_LIST = frozenset((list,))
+
+
+def _vector_json(v: LatticeVector, written: dict) -> dict:
+    """The payload of v, terms in ``Subspace.sort_key`` order.
+
+    ``written`` is one document's table from each subspace to its
+    ``Subspace.to_json()``, filled once per distinct subspace.  Every term
+    still gets fresh dicts and column lists, since callers may edit them.
+    """
+    terms = v._terms
+    out = []
+    for s in sorted(terms, key=Subspace.sort_key):
+        sub = written.get(s)
+        if sub is None:
+            sub = written[s] = s.to_json()
+        out.append(
+            {"subspace": {**sub, "cols": list(map(list, sub["cols"]))}, "coeff": terms[s].to_json()}
+        )
+    return {"n": v.n, "q": v.q, "terms": out}
+
+
+def _vector_from_json(obj, parsed: dict) -> LatticeVector:
+    """Parse one vector payload; a malformed one raises ValueError.
+
+    ``parsed`` is one document's table from raw fields to the values parsed
+    from them, for one q: (n, k, entries) to a ``Subspace`` and (m, j) to a
+    monomial ``CycInt``.  A field is looked up only once it passes every
+    check the full parsers make on its keys, lengths and exact int types
+    (``True == 1``, so a bool would otherwise hit an int's entry), and a
+    value is stored only once they have accepted it.  Any other field goes
+    through ``Subspace.from_json`` or ``CycInt.from_json``, so every error
+    reads the same.
+    """
+    q, n = json_int(obj["q"], "vector q"), json_int(obj["n"], "vector n")
+    terms: dict[Subspace, CycInt] = {}
+    for item in obj["terms"]:
+        raw = item["subspace"]
+        key = None
+        if type(raw) is dict:
+            sn, k, cols = raw.get("n"), raw.get("k"), raw.get("cols")
+            if (
+                type(sn) is int
+                and type(k) is int
+                and type(cols) is list
+                and len(cols) == k
+                and _LIST.issuperset(map(type, cols))
+                and all(len(col) == sn for col in cols)
+            ):
+                entries = tuple(chain.from_iterable(cols))
+                if _INT.issuperset(map(type, entries)):
+                    key = (sn, k, entries)
+        sub = parsed.get(key)
+        if sub is None:
+            sub = Subspace.from_json(q, raw)
+            if key is not None:
+                parsed[key] = sub
+        raw = item["coeff"]
+        key = None
+        if type(raw) is dict and "coeffs" not in raw:
+            m, j = raw.get("m"), raw.get("j")
+            if type(m) is int and type(j) is int:
+                key = (m, j)
+        coeff = parsed.get(key)
+        if coeff is None:
+            coeff = CycInt.from_json(q, raw)
+            if key is not None:
+                parsed[key] = coeff
+        if sub in terms:
+            raise ValueError(f"duplicate subspace in serialized vector: {sub!r}")
+        terms[sub] = coeff
+    return LatticeVector(q, n, terms)
 
 
 def _accumulate(pairs: Iterable[tuple[Hashable, CycInt]]) -> dict:

@@ -28,13 +28,15 @@ consecutive norms satisfy
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gflinalg import MAX_AMBIENT_SIZE, Subspace, check_field_order
 from .haction import characters, gamma, theta
-from .lattice import LatticeVector, gram, inner, up_mismatches
+from .lattice import LatticeVector, _vector_from_json, _vector_json, gram, inner, up_mismatches
 from .qcombinatorics import galois_number, json_int, q_binomial, q_int
 from .reporting import Check, Report
 
@@ -263,41 +265,64 @@ def _rank_slices(basis: SJB) -> dict[int, tuple[list[int], list, list]]:
 # -- serialization -------------------------------------------------------------
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector paused, then restore
+    the caller's setting, also on an exception.  A basis payload and a
+    parsed basis are trees of fresh containers with no cycle, so a
+    collection while they grow walks them all and frees none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def sjb_to_json(basis: SJB) -> dict:
-    return {
-        "q": basis.q,
-        "n": basis.n,
-        "chains": [
-            {
-                "start_rank": chain.start_rank,
-                "vectors": [v.to_json() for v in chain.vectors],
-            }
-            for chain in basis.chains
-        ],
-    }
+    # one table for the document: each distinct subspace is read once
+    written: dict = {}
+    with _collector_paused():
+        return {
+            "q": basis.q,
+            "n": basis.n,
+            "chains": [
+                {
+                    "start_rank": chain.start_rank,
+                    "vectors": [_vector_json(v, written) for v in chain.vectors],
+                }
+                for chain in basis.chains
+            ],
+        }
 
 
 def sjb_from_json(obj) -> SJB:
     """Parse a basis document; a malformed one raises ValueError."""
-    try:
-        q, n = json_int(obj["q"], "q"), json_int(obj["n"], "n")
-        check_field_order(q)
-        chains = []
-        for entry in obj["chains"]:
-            vectors = []
-            for v in entry["vectors"]:
-                # checked before the terms are parsed with the vector's own q
-                if json_int(v["q"], "vector q") != q or json_int(v["n"], "vector n") != n:
-                    raise ValueError("vector does not match the basis header")
-                vectors.append(LatticeVector.from_json(v))
-            chains.append(JordanChain(json_int(entry["start_rank"], "start_rank"), tuple(vectors)))
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        # q >= 2, so an n of the cap's bit length is past it: no huge power
-        if n >= MAX_AMBIENT_SIZE.bit_length() or q**n > MAX_AMBIENT_SIZE:
-            raise ValueError(f"q^n must be at most {MAX_AMBIENT_SIZE}, got {q}^{n}")
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc}") from exc
-    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
-        raise ValueError(f"malformed basis document: {exc}") from exc
-    return SJB(q, n, tuple(chains))
+    with _collector_paused():
+        try:
+            q, n = json_int(obj["q"], "q"), json_int(obj["n"], "n")
+            check_field_order(q)
+            # one table for the document, whose vectors all have this q
+            parsed: dict = {}
+            chains = []
+            for entry in obj["chains"]:
+                vectors = []
+                for v in entry["vectors"]:
+                    # checked before the terms are parsed with the vector's own q
+                    if json_int(v["q"], "vector q") != q or json_int(v["n"], "vector n") != n:
+                        raise ValueError("vector does not match the basis header")
+                    vectors.append(_vector_from_json(v, parsed))
+                chains.append(
+                    JordanChain(json_int(entry["start_rank"], "start_rank"), tuple(vectors))
+                )
+            if n < 0:
+                raise ValueError(f"n must be >= 0, got {n}")
+            # q >= 2, so an n of the cap's bit length is past it: no huge power
+            if n >= MAX_AMBIENT_SIZE.bit_length() or q**n > MAX_AMBIENT_SIZE:
+                raise ValueError(f"q^n must be at most {MAX_AMBIENT_SIZE}, got {q}^{n}")
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from exc
+        except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+            raise ValueError(f"malformed basis document: {exc}") from exc
+        return SJB(q, n, tuple(chains))

@@ -339,3 +339,32 @@ def test_from_matrix_is_a_batch_of_one():
     for q, mat in cases:
         mat = np.asarray(mat, dtype=np.int64)
         assert Subspace.from_matrix(q, mat) is subspaces_from_matrix_batch(q, mat[None])[0]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1.7], [2.2]],
+        [[1], [2.0]],
+        [["1"], ["2"]],
+        [[True], [False]],
+        [[True], [2**70]],  # an object array: each entry is looked at
+        [[None], [1]],
+        np.array([[1.0], [2.0]]),
+    ],
+)
+def test_from_matrix_refuses_entries_that_are_not_ints(mat):
+    with pytest.raises(TypeError, match="^matrix entries must be integers, got "):
+        Subspace.from_matrix(3, mat)
+
+
+def test_from_matrix_accepts_python_and_numpy_ints_and_empty_matrices():
+    line = Subspace.span(3, 2, [(1, 2)])
+    assert Subspace.from_matrix(3, [[1], [2]]) is line
+    assert Subspace.from_matrix(3, [[np.int64(1)], [np.uint8(2)]]) is line
+    assert Subspace.from_matrix(3, np.array([[1], [2]], dtype=object)) is line
+    # [[], []] reads as an empty float array, as before
+    assert Subspace.from_matrix(3, [[], []]) is Subspace.zero(3, 2)
+    assert Subspace.from_matrix(3, np.zeros((3, 0))) is Subspace.zero(3, 3)
+    with pytest.raises(OverflowError):
+        Subspace.from_matrix(3, [[1], [2**70]])

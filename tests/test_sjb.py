@@ -1,6 +1,7 @@
 """Construction and verification of the symmetric Jordan bases."""
 
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -32,6 +33,7 @@ from qjordan import (
     up_apply,
     verify_sjb,
 )
+from qjordan.cli import main
 
 from cycrank import cyc_matrix_rank
 from modp import modp_rank
@@ -327,6 +329,165 @@ def test_noncanonical_columns_parse_to_the_same_basis():
     with pytest.raises(ValueError) as exc:
         sjb_from_json(payload)
     assert str(exc.value) == "column 0 must hold integers, got [True, 0, 0]"
+
+
+def term_paths(payload):
+    """(chain, vector, term) of every serialized term, in document order."""
+    for ci, chain in enumerate(payload["chains"]):
+        for vi, vector in enumerate(chain["vectors"]):
+            for ti in range(len(vector["terms"])):
+                yield ci, vi, ti
+
+
+def term_at(payload, path):
+    ci, vi, ti = path
+    return payload["chains"][ci]["vectors"][vi]["terms"][ti]
+
+
+def containers(node):
+    """Every dict and list of a payload tree, the root included."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from containers(child)
+
+
+def test_payloads_stay_fresh_under_the_writer_table():
+    basis = construct_sjb(3, 3)
+    payload = sjb_to_json(basis)
+    # the terms of the subspace written most often
+    by_subspace = {}
+    for path in term_paths(payload):
+        key = json.dumps(term_at(payload, path)["subspace"])
+        by_subspace.setdefault(key, []).append(path)
+    paths = max(by_subspace.values(), key=len)
+    assert len(paths) > 2
+    cols = term_at(payload, paths[0])["subspace"]["cols"]
+    cols[0][0] = 7
+    cols.append([0, 0, 1])
+    # only that term changed: no other term shares its lists
+    expect = sjb_to_json(basis)
+    term_at(expect, paths[0])["subspace"]["cols"] = [list(col) for col in cols]
+    assert payload == expect
+    # no container is shared within a payload or between two of them
+    again = sjb_to_json(basis)
+    ids = [id(node) for node in containers(payload)]
+    ids_again = [id(node) for node in containers(again)]
+    assert len(set(ids)) == len(ids) and len(set(ids_again)) == len(ids_again)
+    assert not set(ids) & set(ids_again)
+    for chain, entry in zip(basis.chains, again["chains"]):
+        assert entry["vectors"] == [v.to_json() for v in chain.vectors]
+
+
+def first_repeat(payload, field, accept):
+    """The paths of the first two terms, in document order, whose ``field``
+    is the same accepted value."""
+    seen = {}
+    for path in term_paths(payload):
+        value = term_at(payload, path)[field]
+        if accept(value):
+            key = json.dumps(value)
+            if key in seen:
+                return seen[key], path
+            seen[key] = path
+    raise AssertionError(f"no repeated {field}")
+
+
+def _bool_pivot(cols):
+    cols[0][cols[0].index(1)] = True
+
+
+def _float_entry(cols):
+    cols[0][-1] = float(cols[0][-1])
+
+
+def _entry_past_q(cols):
+    cols[0][-1] += 3  # the same residue, so the rank stays 2
+
+
+def _dependent_columns(cols):
+    cols[1] = list(cols[0])
+
+
+def _bool_m(coeff):
+    coeff["m"] = True
+
+
+def _bool_j(coeff):
+    coeff["j"] = False
+
+
+READER_TAMPERS = {
+    "bool pivot": ("subspace", "cols", _bool_pivot, "column 0 must hold integers"),
+    "float entry": ("subspace", "cols", _float_entry, "column 0 must hold integers"),
+    "entry past q": ("subspace", "cols", _entry_past_q, "column entries must lie in 0..2"),
+    "dependent columns": (
+        "subspace", "cols", _dependent_columns,
+        "the 2 columns span a subspace of dimension 1",
+    ),
+    "bool m": ("coeff", None, _bool_m, "coefficient m must be an integer, got True"),
+    "bool j": ("coeff", None, _bool_j, "coefficient j must be an integer, got False"),
+}
+
+
+@pytest.mark.parametrize("tamper_name", sorted(READER_TAMPERS))
+def test_reader_table_skips_no_check(tamper_name, tmp_path, capsys):
+    """A fault in the second occurrence of a subspace or coefficient already
+    parsed is refused exactly as in the first: the per-document table is
+    consulted only after every check."""
+    field, part, change, message = READER_TAMPERS[tamper_name]
+    payload = sjb_to_json(construct_sjb(3, 3))
+    if field == "subspace":
+        paths = first_repeat(payload, field, lambda sub: sub["k"] == 2)
+    else:
+        paths = first_repeat(payload, field, lambda coeff: coeff.get("m") == 1)
+    path = tmp_path / "basis.json"
+    errors, lines = [], []
+    for at in paths:
+        doc = copy.deepcopy(payload)
+        value = term_at(doc, at)[field]
+        change(value[part] if part else value)
+        with pytest.raises(ValueError) as exc:
+            sjb_from_json(doc)
+        errors.append(str(exc.value))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = main(["verify", str(path)]), capsys.readouterr()
+        assert code == 2 and out.out == ""
+        lines.append(out.err)
+    assert errors[0] == errors[1] and errors[0].startswith(message)
+    assert lines[0] == lines[1] and lines[0].count("\n") == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_state_comes_back(enabled, monkeypatch):
+    """Writing and parsing pause the cyclic collector and then restore the
+    caller's setting, also when a malformed document raises."""
+    basis = construct_sjb(2, 3)
+    seen = []
+    to_json = Subspace.to_json
+
+    def recorded(sub):
+        seen.append(gc.isenabled())
+        return to_json(sub)
+
+    monkeypatch.setattr(Subspace, "to_json", recorded)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        payload = sjb_to_json(basis)
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+        assert [c.vectors for c in sjb_from_json(payload).chains] == [
+            c.vectors for c in basis.chains
+        ]
+        assert gc.isenabled() is enabled
+        term_at(payload, (1, 0, 0))["coeff"] = {"m": 1.5, "j": 0}
+        with pytest.raises(ValueError, match=r"^coefficient m must be an integer, got 1\.5$"):
+            sjb_from_json(payload)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def tamper(payload, chain_idx=0, vector_idx=0, term_idx=0):
