@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from .gflinalg import check_field_order
 from .haction import verify_decomposition
-from .qcombinatorics import galois_number, int_str, verify_identities
+from .qcombinatorics import galois_number, int_str, q_binomial, verify_identities
 from .scheme import (
     EigenStructureError,
-    check_theorem_jg,
+    _tree_identity,
     eigentable,
     grassmann_graph,
     johnson_graph,
@@ -41,6 +42,12 @@ MAX_TREE_COUNT_DIGITS = 500_000
 # whole command peaks at about three Grams plus the interpreter: 172 MB
 # for the 46 MiB Gram of (2, 5) on a 2-core VM.
 MAX_DECOMPOSE_GRAM_BYTES = 2**30
+# The most vertices of a graph whose matrix-tree determinant `trees --oracle`
+# and `johnson` take.  The determinant's time grows as the fourth power of
+# the vertex count: N^3 per prime and about N primes.  On a 2-core VM the
+# 806 vertices of (q, n, m) = (5, 4, 2) took about a minute, so the 1,395
+# of (2, 6, 3), which the cap refuses, would take several.
+MAX_ORACLE_VERTICES = 1000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,6 +232,12 @@ def cmd_trees(args: argparse.Namespace) -> int:
             f"the rooted tree count for q={args.q}, n={args.n}, m={args.m} has more "
             f"than {MAX_TREE_COUNT_DIGITS} digits, the most trees computes"
         )
+    # after the digit cap, m = 0 or n is small, so [n, m]_q is quick to take
+    if args.oracle and q_binomial(args.n, args.m, args.q) > MAX_ORACLE_VERTICES:
+        return _usage_error(
+            f"the Grassmann graph for q={args.q}, n={args.n}, m={args.m} has more than "
+            f"{MAX_ORACLE_VERTICES} vertices, the most the matrix-tree oracle takes"
+        )
     formula = rooted_tree_count(args.n, args.m, args.q)
     oracle = match = None
     if args.oracle:
@@ -245,9 +258,18 @@ def cmd_trees(args: argparse.Namespace) -> int:
 
 
 def cmd_johnson(args: argparse.Namespace) -> int:
+    # C(n, m) >= n for 1 <= m <= n/2: a large n is refused before C(n, m)
+    if args.n > MAX_ORACLE_VERTICES or comb(args.n, args.m) > MAX_ORACLE_VERTICES:
+        return _usage_error(
+            f"the Johnson graph for n={args.n}, m={args.m} has more than "
+            f"{MAX_ORACLE_VERTICES} vertices, the most the matrix-tree oracle takes"
+        )
     formula = johnson_rooted_tree_formula(args.n, args.m)
     oracle = matrix_tree_oracle(*johnson_graph(args.n, args.m))
-    ok_jg = check_theorem_jg(args.n, args.m)
+    # the identity of Theorem JG (q = 1), on the tree count just taken
+    ok_jg = _tree_identity(
+        args.n, args.m, 1, oracle, matrix_tree_oracle(*johnson_graph(args.n, args.m - 1))
+    )
     payload = {
         "n": args.n,
         "m": args.m,

@@ -8,10 +8,11 @@ basis are a common eigenbasis of all the A_i; eigenvalues are extracted
 from the constructed basis (with a full coordinate consistency check)
 rather than hard-coded.  Spanning-tree counts come in two independent
 flavors: the eigenvalue product formula and an exact matrix-tree
-determinant.  The determinant is taken modulo word-size primes and lifted
-by the Chinese remainder theorem; the primes' product exceeds twice the
-Hadamard bound, taken from the exact product of the squared row norms,
-which certifies the lifted integer.
+determinant.  The determinant is taken modulo word-size primes, several
+at once, by one left-looking elimination over a stack of int64 copies
+with one lane per prime, and lifted by the Chinese remainder theorem; the
+primes' product exceeds twice the Hadamard bound, taken from the exact
+product of the squared row norms, which certifies the lifted integer.
 """
 
 from __future__ import annotations
@@ -235,11 +236,15 @@ def rooted_tree_count(n: int, m: int, q: int) -> int:
 # Determinants are taken modulo primes below 2^_PRIME_BITS, largest first;
 # a product of two residues is below 2^52.
 _PRIME_BITS = 26
-# Elimination steps between full reductions of the trailing block.  A
-# trailing entry is then its reduced start value minus fewer than
-# _REDUCE_PERIOD products of two residues, and 2^10 (p-1)^2 + p < 2^63 for
-# every p < 2^26, so no int64 overflows.
+# Products of two residues per reduced inner sum of the elimination.  Such a
+# sum plus one residue is below _REDUCE_PERIOD (p-1)^2 + p, and 2^10 (p-1)^2
+# + p < 2^63 for every p < 2^26, so no int64 overflows.
 _REDUCE_PERIOD = 1 << 10
+# Bytes of the (lanes, N, N) int64 stack that _det_lanes eliminates, one
+# lane per prime (at least one): 3 lanes for the N = 129 reduced Laplacian
+# of (q, n, m) = (3, 4, 2).  More lanes share each step's numpy calls among
+# more primes, but the stack sets the oracle's peak memory.
+_DET_STACK_BYTES = 1 << 19
 
 
 @cache
@@ -252,45 +257,96 @@ def _det_prime(i: int) -> int:
     return cand
 
 
-def _det_mod(mat, p: int) -> int:
-    """det(mat) mod p, by Gaussian elimination over Z/p of one int64 copy.
+def _dot(x, y, primes):
+    """x @ y, lane by lane, for x of shape (L, r, k) and y of shape (L, k, c)
+    with reduced entries and primes of shape (L, 1, 1).  With k at most
+    _REDUCE_PERIOD an entry is the plain sum of its k products.  Past it the
+    products are summed in chunks of _REDUCE_PERIOD and each chunk's sum is
+    reduced, and so is the result.  Either way no entry passes
+    _REDUCE_PERIOD (p-1)^2."""
+    k = x.shape[-1]
+    if k <= _REDUCE_PERIOD:
+        return x @ y
+    chunks, rest = divmod(k, _REDUCE_PERIOD)
+    whole = k - rest
+    out = x[..., whole:] @ y[:, whole:] % primes
+    xs = x[..., :whole].reshape(*x.shape[:2], chunks, _REDUCE_PERIOD)
+    ys = y[:, :whole].reshape(len(y), chunks, _REDUCE_PERIOD, y.shape[-1])
+    sums = np.einsum("lrjt,ljtc->lrjc", xs, ys)  # one sum per chunk j
+    # sums mod p, as sums - (sums // p) p: numpy's // by a divisor that is
+    # constant along the inner loop multiplies (libdivide), where its %
+    # divides, at four times the cost in numpy 2.4
+    sums -= sums // primes[..., None] * primes[..., None]
+    out += sums.sum(axis=2)
+    out %= primes
+    return out
 
-    The pivot of column k is its first nonzero entry at or below the
-    diagonal; a column with none makes the determinant 0.  The determinant
-    is the signed product of the pivots.  Each step reduces only the pivot
-    column and the pivot row before using them; the whole trailing block
-    is reduced every _REDUCE_PERIOD steps, which bounds every entry (see
-    _REDUCE_PERIOD).
+
+def _det_lanes(mat, primes: list[int], a) -> list[int]:
+    """det(mat) mod p for every p in primes, by one left-looking (Crout)
+    elimination over Z/p of the int64 stack a, of shape (len(primes), N, N),
+    with one lane per prime.
+
+    Step k first takes column k of L from row k down, as the reduced
+    a[k:, k] - a[k:, :k] @ a[:k, k] in every lane, then row k of U, as
+    (a[k, k+1:] - a[k, :k] @ a[:k, k+1:]) divided by the pivot a[k, k].
+    Each lane pivots on its own: on a zero pivot it swaps in the first row
+    below with a nonzero entry in column k and flips its sign; a lane whose
+    column has none has determinant 0.  The determinant is the signed
+    product of the pivots, which stay on the diagonal.  Every entry of a is
+    reduced between steps, so each inner product is bounded as _dot says,
+    and a residue minus it stays inside int64 (see _REDUCE_PERIOD).
     """
-    a = (mat % p).astype(np.int64)
-    det = 1
-    for k in range(len(a)):
-        if k and k % _REDUCE_PERIOD == 0:
-            a[k:, k:] %= p
-        col = a[k:, k]
-        col %= p
-        nonzero = col.nonzero()[0]
-        if not len(nonzero):
-            return 0
-        if nonzero[0]:
-            piv = k + nonzero[0]
-            a[[k, piv], k:] = a[[piv, k], k:]
-            det = -det
-        pivot = int(col[0])
-        det = det * pivot % p
-        row = a[k, k + 1 :]
+    p = np.array(primes, dtype=np.int64)[:, None]
+    p3 = p[:, None]
+    if mat.dtype == object:
+        for lane, prime in enumerate(primes):
+            a[lane] = mat % prime
+    else:
+        np.remainder(mat[None], p3, out=a)
+    sign = [1] * len(primes)
+    for k in range(len(mat)):
+        col = a[:, k:, k]
+        if k:
+            col -= _dot(a[:, k:, :k], a[:, :k, k, None], p3)[..., 0]
+            col %= p
+        pivots = col[:, 0].tolist()
+        if not all(pivots):
+            for lane in np.flatnonzero(col[:, 0] == 0):
+                nonzero = col[lane].nonzero()[0]
+                if not len(nonzero):
+                    sign[lane] = 0
+                    continue
+                swap = k + nonzero[0]
+                a[lane, [k, swap]] = a[lane, [swap, k]]
+                sign[lane] = -sign[lane]
+            if not any(sign):
+                break
+            pivots = col[:, 0].tolist()
+        row = a[:, k, k + 1 :]
+        if k:
+            row -= _dot(a[:, k, None, :k], a[:, :k, k + 1 :], p3)[:, 0]
+            row %= p
+        # a lane of sign 0 has no inverse to take: its rows are ignored
+        inv = [pow(x, -1, prime) if x else 0 for x, prime in zip(pivots, primes)]
+        row *= np.array(inv)[:, None]
         row %= p
-        f = col[1:] * pow(pivot, -1, p) % p
-        a[k + 1 :, k + 1 :] -= f[:, None] * row
-    return det
+    dets = []
+    for lane, prime in enumerate(primes):
+        det = sign[lane]
+        for x in a[lane].diagonal().tolist():
+            det = det * x % prime
+        dets.append(det)
+    return dets
 
 
 def bareiss_det(matrix) -> int:
     """Exact determinant of an integer matrix, by multimodular elimination.
 
     The determinant is taken modulo primes p < 2^26 by Gaussian elimination
-    over Z/p (see _det_mod), one prime at a time, and lifted by the
-    Chinese remainder theorem to the symmetric residue.  With
+    over Z/p (see _det_lanes), several primes at once as the lanes of one
+    int64 stack of _DET_STACK_BYTES, and lifted by the Chinese remainder
+    theorem to the symmetric residue, one Garner step per prime.  With
     H^2 the exact product of the squared row norms, the Hadamard bound gives
     |det| <= H < 2^ceil(bitlen(H^2) / 2); primes are taken until their
     product M exceeds twice that power of two, so the residue in
@@ -314,15 +370,21 @@ def bareiss_det(matrix) -> int:
         mat = np.array(rows, dtype=np.int64)
     except OverflowError:
         mat = np.array(rows, dtype=object)
-    residue, modulus, i = 0, 1, 0
+    del rows  # before the stack is taken: it lowers the peak by a list of rows
+    primes, modulus = [], 1
     # until modulus > 2H = 2^(log_bound + 1); an odd modulus is never equal
     while modulus.bit_length() <= log_bound + 1:
-        p = _det_prime(i)
-        # Garner's step: keep residue mod modulus, extend it mod p
-        t = (_det_mod(mat, p) - residue) * pow(modulus, -1, p) % p
-        residue += modulus * t
-        modulus *= p
-        i += 1
+        primes.append(_det_prime(len(primes)))
+        modulus *= primes[-1]
+    lanes = min(len(primes), max(1, _DET_STACK_BYTES // mat.size // 8))
+    stack = np.empty((lanes, size, size), dtype=np.int64)
+    residue, modulus = 0, 1
+    for lo in range(0, len(primes), lanes):
+        block = primes[lo : lo + lanes]
+        for p, det in zip(block, _det_lanes(mat, block, stack[: len(block)])):
+            # Garner's step: keep residue mod modulus, extend it mod p
+            residue += modulus * ((det - residue) * pow(modulus, -1, p) % p)
+            modulus *= p
     return residue - modulus if 2 * residue > modulus else residue
 
 
@@ -412,21 +474,28 @@ def check_theorem_gg(n: int, m: int, q: int) -> bool:
     """
     if not 1 <= 2 * m <= n:
         raise ValueError(f"need 1 <= m <= n/2, got m={m}, n={n}")
-    factor = ud_du_count(n, m, q)
     trees_m = matrix_tree_oracle(*grassmann_graph(q, n, m))
     trees_m1 = matrix_tree_oracle(*grassmann_graph(q, n, m - 1))
-    lhs = trees_m * factor ** q_binomial(n, m - 1, q)
-    rhs = trees_m1 * factor ** q_binomial(n, m, q)
-    return lhs == rhs
+    return _tree_identity(n, m, q, trees_m, trees_m1)
 
 
 def check_theorem_jg(n: int, m: int) -> bool:
     """The Johnson-graph analogue, with integer factors k(n-k+1)."""
     if not 1 <= 2 * m <= n:
         raise ValueError(f"need 1 <= m <= n/2, got m={m}, n={n}")
-    factor = m * (n - m + 1)
     trees_m = matrix_tree_oracle(*johnson_graph(n, m))
     trees_m1 = matrix_tree_oracle(*johnson_graph(n, m - 1))
-    lhs = trees_m * factor ** comb(n, m - 1)
-    rhs = trees_m1 * factor ** comb(n, m)
-    return lhs == rhs
+    return _tree_identity(n, m, 1, trees_m, trees_m1)
+
+
+def _tree_identity(n: int, m: int, q: int, trees_m: int, trees_m1: int) -> bool:
+    """T_m f^N_(m-1) == T_(m-1) f^N_m, for the rooted tree counts T_k of the
+    graphs on k-sets and their vertex counts N_k: the Grassmann graphs over
+    F_q, with N_k = [n, k]_q and f = [m]_q [n-m+1]_q, or for q = 1 the
+    Johnson graphs, with N_k = C(n, k) and f = m (n-m+1)."""
+    if q == 1:
+        factor, size_m, size_m1 = m * (n - m + 1), comb(n, m), comb(n, m - 1)
+    else:
+        factor = ud_du_count(n, m, q)
+        size_m, size_m1 = q_binomial(n, m, q), q_binomial(n, m - 1, q)
+    return trees_m * factor**size_m1 == trees_m1 * factor**size_m

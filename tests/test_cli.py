@@ -18,11 +18,11 @@ from qjordan import (
     sjb_to_json,
     verify_sjb,
 )
-from qjordan import cli, haction
+from qjordan import cli, haction, scheme
 from qjordan.cli import main
 from qjordan.gflinalg import MAX_AMBIENT_SIZE
 from qjordan.lattice import gram
-from qjordan.qcombinatorics import int_str
+from qjordan.qcombinatorics import int_str, q_binomial
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +222,52 @@ def test_johnson_command(capsys):
     payload = json.loads(out)
     assert payload["match"] is True and payload["theorem_jg"] is True
     assert payload["tree_formula"] == str(4**3)
+
+
+def test_johnson_takes_each_tree_determinant_once(capsys, monkeypatch):
+    # C(5, 2) and C(5, 1) vertices: one reduced Laplacian of each size
+    sizes = []
+    det = scheme.bareiss_det
+    monkeypatch.setattr(scheme, "bareiss_det", lambda mat: sizes.append(len(mat)) or det(mat))
+    code, out, _ = run_cli(capsys, "johnson", "--n", "5", "--m", "2")
+    assert code == 0 and json.loads(out)["theorem_jg"] is True
+    assert sizes == [9, 4]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trees", "--q", "2", "--n", "6", "--m", "3", "--oracle"),
+        ("trees", "--q", "37", "--n", "3", "--m", "1", "--oracle"),
+        ("johnson", "--n", "40", "--m", "20"),
+        ("johnson", "--n", "1001", "--m", "1"),
+        ("johnson", "--n", str(10**12), "--m", str(10**11)),
+    ],
+)
+def test_oracle_refuses_a_graph_past_the_vertex_cap(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"more than {cli.MAX_ORACLE_VERTICES} vertices" in err
+
+
+def test_oracle_vertex_cap_is_the_graph_it_takes(capsys, monkeypatch):
+    # (5, 4, 2) and C(10, 5) fit; at a cap of exactly the vertex count a
+    # command runs, and one vertex less it is refused
+    assert q_binomial(4, 2, 5) == 806 <= cli.MAX_ORACLE_VERTICES
+    assert q_binomial(6, 3, 2) == 1395 > cli.MAX_ORACLE_VERTICES
+    for argv, vertices in [
+        (("trees", "--q", "2", "--n", "3", "--m", "1", "--oracle"), 7),
+        (("johnson", "--n", "5", "--m", "2"), 10),
+        (("johnson", "--n", "10", "--m", "5"), 252),
+    ]:
+        monkeypatch.setattr(cli, "MAX_ORACLE_VERTICES", vertices)
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        monkeypatch.setattr(cli, "MAX_ORACLE_VERTICES", vertices - 1)
+        assert run_cli(capsys, *argv)[0] == 2, argv
+    # without --oracle no graph is built, so no vertex cap applies
+    monkeypatch.setattr(cli, "MAX_ORACLE_VERTICES", 1)
+    assert run_cli(capsys, "trees", "--q", "2", "--n", "3", "--m", "1")[0] == 0
 
 
 def test_identities_command(capsys):

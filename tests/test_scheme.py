@@ -418,9 +418,100 @@ def test_bareiss_det_with_a_short_reduction_period(monkeypatch, bits, period):
         scheme._det_prime.cache_clear()
 
 
-def _check_det_against_references(rng):
-    """bareiss_det against python_int_bareiss, or a closed form, on the
-    matrices of test_bareiss_det_matches_python_int_reference and more."""
+@pytest.mark.parametrize("lanes", [1, 2, None])
+def test_bareiss_det_in_blocks_of_any_number_of_lanes(monkeypatch, lanes):
+    # the stack's byte budget set per matrix to hold 1 or 2 lanes, or every
+    # prime in one block (None); the lifted determinants do not change
+    blocks = []
+    kernel = scheme._det_lanes
+    monkeypatch.setattr(
+        scheme, "_det_lanes", lambda mat, primes, a: blocks.append(len(primes)) or kernel(mat, primes, a)
+    )
+
+    def det(mat):
+        size = len(mat)
+        budget = 8 * size * size * lanes if lanes else 2**40
+        monkeypatch.setattr(scheme, "_DET_STACK_BYTES", budget)
+        del blocks[:]
+        out = bareiss_det(mat)
+        total = sum(blocks)
+        width = lanes or max(total, 1)
+        assert blocks == [min(width, total - lo) for lo in range(0, total, width)]
+        return out
+
+    _check_det_against_references(random.Random(2024), det)
+
+
+def test_det_lanes_pivot_each_lane_on_its_own():
+    # mod p1 alone: the first pivot of `swap` vanishes, the first column of
+    # `dead_first` is zero, and the second column of `singular` is zero on
+    # and below the diagonal after step 0.  The other lanes of the block go
+    # on as usual, from the int64 and from the object fill
+    p0, p1, p2 = primes = [_det_prime(i) for i in range(3)]
+    big = 2**40 + 1
+    swap = [[p1, 1, 0], [1, 2, 0], [0, 0, big]]
+    singular = [[1, 2, 0], [3, 6 + p1, 0], [0, 0, big]]
+    dead_first = [[p1, 0, 0], [2 * p1, 3, 0], [0, 0, big]]
+    for mat in (swap, singular, dead_first):
+        det = python_int_bareiss(mat)
+        for dtype in (np.int64, object):
+            stack = np.empty((3, 3, 3), dtype=np.int64)
+            got = scheme._det_lanes(np.array(mat, dtype=dtype), primes, stack)
+            assert got == [det % p for p in primes], (mat, dtype)
+        assert bareiss_det(mat) == det
+    assert python_int_bareiss(swap) % p1 and not python_int_bareiss(singular) % p1
+    assert python_int_bareiss(singular) % p0 and python_int_bareiss(singular) % p2
+
+
+def test_dot_reduces_each_chunk_of_products(monkeypatch):
+    # with residues below 2^30 four products fill int64 (4 (p-1)^2 + p <
+    # 2^63), so a sum of 23 must be taken in chunks of 4: five whole ones
+    # and a tail of 3.  Shapes as the elimination uses them: a column, a
+    # row, and the empty row of the last step
+    monkeypatch.setattr(scheme, "_REDUCE_PERIOD", 4)
+    primes = []
+    cand = 2**30 - 1
+    while len(primes) < 2:
+        if is_prime(cand):
+            primes.append(cand)
+        cand -= 2
+    assert 4 * (primes[0] - 1) ** 2 + primes[0] < 2**63
+    rng = np.random.default_rng(7)
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    for rows, cols in [(6, 1), (1, 5), (1, 0)]:
+        x = rng.integers(0, p, size=(2, rows, 23))
+        y = rng.integers(0, p, size=(2, 23, cols))
+        got = scheme._dot(x, y, p) % p
+        for lane, prime in enumerate(primes):
+            exact = [
+                [sum(int(a) * int(b) for a, b in zip(x[lane, i], y[lane, :, j])) % prime for j in range(cols)]
+                for i in range(rows)
+            ]
+            assert got[lane].tolist() == exact
+
+
+def test_bareiss_det_memory_stays_small():
+    # the (3,4,2) reduced Laplacian, N = 129: one int64 copy and a stack of
+    # _DET_STACK_BYTES, three lanes of 130 KiB each; bareiss_det's own row
+    # lists are freed before the stack is taken
+    import tracemalloc
+
+    verts, edges = grassmann_graph(3, 4, 2)
+    lap = [row[1:] for row in laplacian_matrix(verts, edges)[1:]]
+    bareiss_det(lap)  # the prime table, built once
+    tracemalloc.start()
+    try:
+        bareiss_det(lap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 700 * 1024
+
+
+def _check_det_against_references(rng, det=bareiss_det):
+    """det, by default bareiss_det, against python_int_bareiss or a closed
+    form, on the matrices of test_bareiss_det_matches_python_int_reference
+    and more."""
     mats = []
     # entries past 2^31, past int64, and negative
     for size, bits in [(1, 40), (3, 31), (5, 62), (6, 70), (8, 100), (40, 35)]:
@@ -441,7 +532,7 @@ def _check_det_against_references(rng):
     verts, edges = grassmann_graph(2, 4, 2)
     mats.append([row[1:] for row in laplacian_matrix(verts, edges)[1:]])
     for mat in mats:
-        assert bareiss_det(mat) == python_int_bareiss(mat), mat
+        assert det(mat) == python_int_bareiss(mat), mat
     # a row-permuted L U of size 200, det = sign * prod diag(U)
     size = 200
     lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(size)] for i in range(size)]
@@ -454,7 +545,7 @@ def _check_det_against_references(rng):
     expect = (-1) ** inversions
     for d in diag:
         expect *= d
-    assert bareiss_det(lu) == expect
+    assert det(lu) == expect
 
 
 def test_importing_qjordan_builds_no_prime_table():

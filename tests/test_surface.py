@@ -17,6 +17,7 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 ENTRY_POINTS = {
     "active_backend",  # the benchmark records which kernel ran
     "check_theorem_gg",  # the benchmark's trees workload runs it
+    "check_theorem_jg",  # Theorem JG for users; `johnson` reuses its own count
     "omega",  # CycInt.omega: the root of unity w, a constructor for users
     "to_int",  # CycInt.to_int: a rational integer value as an int, for users
     "span",  # Subspace.span: a subspace from spanning vectors
