@@ -35,13 +35,12 @@ VERIFY_ERROR = 1
 # (q, n, m) = (2, 8, 4) took 5.6 s to print on a 2-core VM.  The cap is
 # judged by a lower bound, so a count that passes it can be a third longer.
 MAX_TREE_COUNT_DIGITS = 500_000
-# The most bytes the one Gram matrix of `decompose` may take: its (q-1) N^2
-# int64 entries for the N = G(n) + (q^n - 1) G(n-1) images outside the
-# hyperplane.  That is 572 MiB at (q, n) = (7, 3), the largest size below
-# the cap, and 5.2 GiB at (2, 6), the smallest binary size past it.  The
-# whole command peaks at about three Grams plus the interpreter: 172 MB
-# for the 46 MiB Gram of (2, 5) on a 2-core VM.
-MAX_DECOMPOSE_GRAM_BYTES = 2**30
+# The most theta and gamma images `decompose` builds: N = G(n) + (q^n - 1)
+# G(n-1), the images outside the hyperplane that every check but the last
+# runs over.  (q, n) = (7, 3) has 3,536, the most below the cap, and took
+# 106 s at 157 MB peak RSS on a 2-core VM; (2, 6), the smallest binary size
+# past it, has 26,387, and no size past the cap has been run.
+MAX_DECOMPOSE_IMAGES = 4096
 # The most vertices of a graph whose matrix-tree determinant `trees --oracle`
 # and `johnson` take.  The determinant's time grows as the fourth power of
 # the vertex count: N^3 per prime and about N primes.  On a 2-core VM the
@@ -156,22 +155,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else VERIFY_ERROR
 
 
-def _decompose_gram_past_cap(n: int, q: int) -> bool:
-    """Whether the Gram matrix of verify_decomposition(n, q) takes more than
-    MAX_DECOMPOSE_GRAM_BYTES, decided before any of it is built.  There are
+def _decompose_images_past_cap(n: int, q: int) -> bool:
+    """Whether verify_decomposition(n, q) builds more than
+    MAX_DECOMPOSE_IMAGES images, decided before any is built.  There are
     more than q^n - 1 >= 2^n - 1 images, so an n past the cap's bit length
     is past the cap before any q-binomial is taken."""
-    if n > MAX_DECOMPOSE_GRAM_BYTES.bit_length():
+    if n > MAX_DECOMPOSE_IMAGES.bit_length():
         return True
-    images = galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q)
-    return (q - 1) * images**2 * 8 > MAX_DECOMPOSE_GRAM_BYTES
+    return galois_number(n, q) + (q**n - 1) * galois_number(n - 1, q) > MAX_DECOMPOSE_IMAGES
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    if _decompose_gram_past_cap(args.n, args.q):
+    if _decompose_images_past_cap(args.n, args.q):
         return _usage_error(
-            f"the Gram matrix of decompose for q={args.q}, n={args.n} takes more "
-            f"than {MAX_DECOMPOSE_GRAM_BYTES} bytes, the most decompose holds"
+            f"decompose for q={args.q}, n={args.n} builds more than "
+            f"{MAX_DECOMPOSE_IMAGES} theta and gamma images, the most decompose takes"
         )
     report = verify_decomposition(args.n, args.q)
     _emit(report.to_json(), None)

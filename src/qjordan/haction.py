@@ -11,7 +11,9 @@ orbit tables, the exponents c.a and the characters all index that one array,
 whose row 0 is the identity.  The maps built here (theta,
 the character projections, and the rank-raising gamma) realize the
 Goldman-Rota recurrence at the level of vector spaces and drive the Jordan
-basis construction in :mod:`qjordan.sjb`.
+basis construction in :mod:`qjordan.sjb`.  ``verify_decomposition``
+certifies the split they give, taking inner products (``gram_pairs``) only
+between images that share a subspace.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .lattice import (
     all_coordinate_vectors,
     enumerate_all,
     enumerate_rank,
-    gram,
+    gram_pairs,
     up_apply,
     up_mismatches,
 )
@@ -188,9 +190,11 @@ def verify_decomposition(n: int, q: int) -> Report:
     q-1 count of surviving characters per hyperplane.
 
     Each U identity is decided for all its vectors by one ``up_mismatches``
-    call, and every inner-product identity is read off one exact Gram
-    matrix and the images' supports; each failure names the input that a
-    scan meets first.
+    call.  Every inner-product identity is read off the images' supports
+    and one ``gram_pairs`` list, the exact inner products of the images
+    that share a subspace: an image meets only the images on its own
+    orbit, and every pair the list leaves out is 0.  Each failure names the
+    input that a row-major scan over all pairs meets first.
     """
     if n < 1:
         raise ValueError(f"verify_decomposition needs n >= 1, got {n}")
@@ -240,33 +244,34 @@ def verify_decomposition(n: int, q: int) -> Report:
     bad = "" if hit is None else f"splitting fails on {xs[hit[0]]!r}"
     checks.append(Check("up-splitting", bad))
 
-    # inner products: the Gram matrix of the theta and gamma images (which
-    # live outside the hyperplane) against the diagonal it should be, and
-    # which images have a term on an embedded subspace (last row zero)
-    full = gram(outside)
-    expect = np.zeros_like(full)
-    diagonal = np.arange(len(outside))
-    expect[diagonal, diagonal, 0] = [q ** (n - x.k) for x in xs] + [
-        q ** (n + y.k) for _, y in pairs
-    ]
-    miss = (full != expect).any(axis=-1)
-    meets = [[any(not sub.matrix[-1].any() for sub in img.support())] for img in outside]
+    # inner products: the pairs of theta and gamma images (which live
+    # outside the hyperplane) that share a subspace, against the diagonal
+    # they should give.  A pair not listed is 0, as an off-diagonal pair
+    # should be, and a zero image lists no diagonal, so that counts as a miss
+    listed, values = gram_pairs(outside)
+    left, right = listed.T
+    diagonal = left == right
+    norms = [q ** (n - x.k) for x in xs] + [q ** (n + y.k) for _, y in pairs]
+    expect = np.zeros_like(values)
+    expect[diagonal, 0] = [norms[i] for i in left[diagonal].tolist()]
+    miss = (values != expect).any(axis=1)
+    zero = [(i, i) for i, img in enumerate(outside) if img.is_zero]
     # the block of each image: -1 for theta, the character's position for gamma
     block = np.concatenate([np.full(nt, -1), np.arange(len(pairs)) // len(ys)])
-    same = block[:, None] == block[None, :]
-    scaling = np.triu(miss & same)
+    same = block[left] == block[right]
+    theta_rows = left < nt
 
-    hit = _first_true(scaling[:nt, :nt])
+    hit = _first_pair(listed, miss & same & theta_rows, [z for z in zero if z[0] < nt])
     bad = ""
     if hit is not None:
         x, y = xs[hit[0]], xs[hit[1]]
         bad = _scaling_fault("theta", x, y, q ** (n - x.k))
     checks.append(Check("theta-scaling", bad))
 
-    hit = _first_true(scaling[nt:, nt:])
+    hit = _first_pair(listed, miss & same & ~theta_rows, [z for z in zero if z[0] >= nt])
     bad = ""
     if hit is not None:
-        (chi, y), (_, z) = pairs[hit[0]], pairs[hit[1]]
+        (chi, y), (_, z) = pairs[hit[0] - nt], pairs[hit[1] - nt]
         bad = f"c={chi.c}: " + _scaling_fault("gamma", y, z, q ** (n + y.k))
     checks.append(Check("gamma-scaling", bad))
 
@@ -286,26 +291,28 @@ def verify_decomposition(n: int, q: int) -> Report:
     # orthogonality across blocks, in the order of a pairwise scan: each
     # theta or gamma image against the whole embedded lattice, then a theta
     # image against every gamma image and a gamma image against the later
-    # gamma images of other characters; column 0 is the embedded lattice and
-    # then come the outside images, of which only gamma ones can hit
-    hit = _first_true(np.concatenate([meets, np.triu(miss & ~same)], axis=1))
+    # gamma images of other characters.  An image meets the embedded
+    # lattice when it has a term on an embedded subspace (last row zero)
+    subs = {sub for img in outside for sub in img.support()}
+    lying = {sub for sub in subs if not sub.matrix[-1].any()}
+    meets = next((i for i, img in enumerate(outside) if not lying.isdisjoint(img.support())), None)
+    hit = _first_pair(listed, miss & ~same)
     bad = ""
-    if hit is not None:
+    if meets is not None and (hit is None or meets <= hit[0]):
+        if meets < nt:
+            bad = f"theta image of {xs[meets]!r} meets the embedded lattice"
+        else:
+            chi, y = pairs[meets - nt]
+            bad = f"gamma {y!r} (c={chi.c}) meets the embedded lattice"
+    elif hit is not None:
+        # the later image of a pair across blocks is a gamma one
         i, j = hit
+        chj, z = pairs[j - nt]
         if i < nt:
-            x = xs[i]
-            if j == 0:
-                bad = f"theta image of {x!r} meets the embedded lattice"
-            else:
-                chi, y = pairs[j - 1 - nt]
-                bad = f"theta {x!r} not orthogonal to gamma {y!r} (c={chi.c})"
+            bad = f"theta {xs[i]!r} not orthogonal to gamma {z!r} (c={chj.c})"
         else:
             chi, y = pairs[i - nt]
-            if j == 0:
-                bad = f"gamma {y!r} (c={chi.c}) meets the embedded lattice"
-            else:
-                chj, z = pairs[j - 1 - nt]
-                bad = f"gamma blocks c={chi.c} and c={chj.c} not orthogonal ({y!r} vs {z!r})"
+            bad = f"gamma blocks c={chi.c} and c={chj.c} not orthogonal ({y!r} vs {z!r})"
     checks.append(Check("block-orthogonality", bad))
 
     # each hyperplane is hit by exactly q-1 characters
@@ -326,6 +333,13 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     """Row-major index of the first True entry of a mask."""
     hits = np.argwhere(mask)
     return tuple(int(i) for i in hits[0]) if len(hits) else None
+
+
+def _first_pair(listed: np.ndarray, mask: np.ndarray, extra=()) -> tuple[int, int] | None:
+    """The least (i, j) among the row-major pairs ``listed`` where ``mask``
+    holds and the pairs in ``extra``; None if there is none."""
+    hits = [tuple(int(i) for i in listed[k]) for k in np.flatnonzero(mask)[:1]]
+    return min([*hits, *extra], default=None)
 
 
 def _scaling_fault(name: str, x: Subspace, y: Subspace, norm: int) -> str:

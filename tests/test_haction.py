@@ -400,6 +400,10 @@ def test_zero_images_fail_the_rank_checks(monkeypatch):
         f"theta image of {x!r} is not homogeneous of rank {x.k + 1}"
     )
     assert checks["rankset-character-blocks"].passed
+    # a zero image has no diagonal entry among the pairs that meet, and
+    # still fails its scaling
+    assert checks["theta-scaling"].detail == f"<theta {x!r}, theta {x!r}> != {q ** (n - x.k)}"
+    assert checks["gamma-scaling"].passed
 
     monkeypatch.setattr(haction, "theta", theta0)
     monkeypatch.setattr(haction, "gamma", zero_gamma)
@@ -408,6 +412,10 @@ def test_zero_images_fail_the_rank_checks(monkeypatch):
     assert checks["rankset-trivial-block"].passed
     assert checks["rankset-character-blocks"].detail == (
         f"gamma image of {y!r} under c={chi.c} has wrong rank"
+    )
+    assert checks["theta-scaling"].passed
+    assert checks["gamma-scaling"].detail == (
+        f"c={chi.c}: <gamma {y!r}, gamma {y!r}> != {q ** (n + y.k)}"
     )
 
 

@@ -11,13 +11,17 @@ from qjordan import (
     CycInt,
     LatticeVector,
     Subspace,
+    characters,
     construct_sjb,
     covers_of,
     enumerate_all,
     enumerate_rank,
+    gamma,
     gram,
+    gram_pairs,
     inner,
     q_binomial,
+    theta,
     up_apply,
     up_mismatches,
 )
@@ -300,6 +304,91 @@ def test_gram_blocks_agree(monkeypatch):
     monkeypatch.setattr("qjordan.lattice._GRAM_BLOCK", 1)
     assert np.array_equal(gram(block), whole)
     assert_gram_matches_inner(block, whole)
+
+
+def assert_pairs_match_inner(vectors, pairs, values):
+    """The listed pairs run row-major over i <= j with the inner products as
+    values, and every pair left out shares no subspace."""
+    listed = [tuple(p) for p in pairs.tolist()]
+    assert listed == sorted(set(listed)) and all(i <= j for i, j in listed)
+    assert len(values) == len(listed)
+    for (i, j), value in zip(listed, values):
+        assert tuple(value) == inner(vectors[i], vectors[j]).coeffs, (i, j)
+    for i, v in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            if (i, j) not in listed:
+                assert not set(v.support()) & set(vectors[j].support()), (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists())
+def test_gram_pairs_match_inner(lists):
+    left, right = lists
+    for vectors in (left + right, left):
+        if vectors:
+            assert_pairs_match_inner(vectors, *gram_pairs(vectors))
+
+
+def test_gram_pairs_edge_lists():
+    subs = enumerate_rank(2, 1, 3)
+    v = LatticeVector(3, 2, {subs[0]: CycInt(3, (2, 1)), subs[1]: 5})
+    apart = LatticeVector(3, 2, {subs[2]: CycInt(3, (1, -1))})
+    zero = LatticeVector.zero(3, 2)
+    pairs, values = gram_pairs([])
+    assert pairs.shape == (0, 2) and values.shape == (0, 0)
+    pairs, values = gram_pairs([zero, zero])
+    assert pairs.shape == (0, 2) and values.shape == (0, 2)
+    # disjoint supports list only the diagonal; a shared one lists the pair
+    pairs, _ = gram_pairs([v, apart, zero, v])
+    assert pairs.tolist() == [[0, 0], [0, 3], [1, 1], [3, 3]]
+    for vectors in [[v, v], [v, apart], [apart, zero, v, apart]]:
+        assert_pairs_match_inner(vectors, *gram_pairs(vectors))
+    # a listed pair can sum to zero: <v, w> = 1 - 1 on two shared subspaces
+    w = LatticeVector(3, 2, {subs[0]: 1, subs[1]: -1})
+    pairs, values = gram_pairs([LatticeVector(3, 2, {subs[0]: 1, subs[1]: 1}), w])
+    assert pairs.tolist() == [[0, 0], [0, 1], [1, 1]] and values[1].tolist() == [0, 0]
+    with pytest.raises(ValueError):
+        gram_pairs([v, LatticeVector.basis(Subspace.zero(3, 3))])
+
+
+def test_gram_pairs_fall_back_to_python_ints_past_the_int64_bound():
+    q, n = 5, 2
+    subs = enumerate_all(n, q)
+    rng = random.Random(43)
+    big = 2**40
+
+    def vector():
+        return LatticeVector(
+            q,
+            n,
+            {
+                s: CycInt(q, tuple(rng.randint(-big, big) for _ in range(q - 1)))
+                for s in rng.sample(subs, 5)
+            },
+        )
+
+    vectors = [vector() for _ in range(6)]
+    pairs, values = gram_pairs(vectors)
+    assert values.dtype == object
+    assert_pairs_match_inner(vectors, pairs, values)
+    small = [LatticeVector.basis(s) for s in subs[:3]]
+    assert gram_pairs(small)[1].dtype == np.int64
+
+
+def test_gram_pairs_chunks_agree(monkeypatch):
+    # the decomposition's images: many meet on a subspace, more do not
+    n, q = 2, 3
+    images = [theta(LatticeVector.basis(x)) for x in enumerate_all(n, q)] + [
+        gamma(chi, LatticeVector.basis(y))
+        for chi in characters(n, q)
+        for y in enumerate_all(n - 1, q)
+    ]
+    pairs, values = gram_pairs(images)
+    assert 0 < len(pairs) < len(images) * (len(images) + 1) // 2
+    monkeypatch.setattr("qjordan.lattice._PAIR_BLOCK", 1)
+    small_pairs, small_values = gram_pairs(images)
+    assert np.array_equal(small_pairs, pairs) and np.array_equal(small_values, values)
+    assert_pairs_match_inner(images, pairs, values)
 
 
 @st.composite
