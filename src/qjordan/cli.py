@@ -37,10 +37,14 @@ VERIFY_ERROR = 1
 MAX_TREE_COUNT_DIGITS = 500_000
 # The most theta and gamma images `decompose` builds: N = G(n) + (q^n - 1)
 # G(n-1), the images outside the hyperplane that every check but the last
-# runs over.  (q, n) = (7, 3) has 3,536, the most below the cap, and took
-# 106 s at 157 MB peak RSS on a 2-core VM; (2, 6), the smallest binary size
+# runs over.  (q, n) = (7, 3) has 3,536, the most below the cap, and takes
+# 16 s at 155 MB peak RSS on a 2-core VM; (2, 6), the smallest binary size
 # past it, has 26,387, and no size past the cap has been run.
 MAX_DECOMPOSE_IMAGES = 4096
+# The most vectors of a basis `construct` and `scheme` build: the Galois
+# number G_q(n).  (q, n) = (2, 7) has 29,212 and (3, 6) 56,632, both below
+# the cap; (2, 8), the smallest binary size past it, has 417,199.
+MAX_BASIS_VECTORS = 2**16
 # The most vertices of a graph whose matrix-tree determinant `trees --oracle`
 # and `johnson` take.  The determinant's time grows as the fourth power of
 # the vertex count: N^3 per prime and about N primes.  On a 2-core VM the
@@ -111,6 +115,16 @@ def _emit(payload: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _basis_past_cap(n: int, q: int) -> bool:
+    """Whether the basis of V(B_q(n)) has more than MAX_BASIS_VECTORS
+    vectors, decided before any is built.  G_q(n) >= 2^n, the sum of the
+    binomials [n, k]_q >= C(n, k), so an n past the cap's bit length is
+    past the cap before any q-binomial is taken."""
+    if n > MAX_BASIS_VECTORS.bit_length():
+        return True
+    return galois_number(n, q) > MAX_BASIS_VECTORS
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -304,6 +318,11 @@ def run(args: argparse.Namespace) -> int:
         return _usage_error("decompose needs n >= 1")
     if args.command == "johnson" and m < 1:
         return _usage_error("johnson needs m >= 1")
+    if args.command in ("construct", "scheme") and _basis_past_cap(n, q):
+        return _usage_error(
+            f"the basis for q={q}, n={n} has more than {MAX_BASIS_VECTORS} "
+            f"vectors, the most {args.command} builds"
+        )
     handlers = {
         "construct": cmd_construct,
         "verify": cmd_verify,

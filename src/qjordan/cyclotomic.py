@@ -136,10 +136,16 @@ class CycInt:
         return CycInt._raw(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        # the hot case (theta, gamma and the inner product) skips _coerce
-        o = other if type(other) is CycInt and other.p == self.p else self._coerce(other)
-        if o is None:
-            return NotImplemented
+        # the hot case (theta, gamma and the inner product) skips _coerce,
+        # and an int scales the slots with no ring product
+        if type(other) is CycInt and other.p == self.p:
+            o = other
+        elif type(other) is int:
+            return CycInt._raw(self.p, tuple([a * other for a in self.coeffs]))
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         p = self.p
         # accumulate with exponents folded mod p (w^p = 1), then eliminate
         # the w^(p-1) slot via w^(p-1) = -(1 + w + ... + w^(p-2))

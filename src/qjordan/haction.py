@@ -3,12 +3,13 @@
 F_q^n acts on F_q^(n+1) through the unitriangular matrices fixing the
 embedded F_q^n pointwise: the vector a sends (b, c) to (b + c*a, c).  The
 action permutes the subspaces NOT contained in F_q^n; its orbits are the
-fibers of X -> X intersect F_q^n.  Characters are indexed by vectors c with
-chi_c(a) = w^(c.a), and the associated (unnormalized) isotypic projections
-p(chi) decompose the span of those subspaces.  The group is enumerated once,
-as the rows of ``all_coordinate_vectors(n, q)`` in lexicographic order: the
-orbit tables, the exponents c.a and the characters all index that one array,
-whose row 0 is the identity.  The maps built here (theta,
+fibers of X -> X intersect F_q^n, and the stabilizer of X is S = X intersect
+F_q^n.  An orbit table is built on S: one group vector per coset of S, with
+the image it reaches, and a basis of S.  Characters are indexed by vectors c
+with chi_c(a) = w^(c.a), in the lexicographic order of the rows of
+``all_coordinate_vectors(n, q)``, and the associated (unnormalized)
+isotypic projections p(chi) decompose the span of those subspaces; each is
+read in closed form off an orbit table.  The maps built here (theta,
 the character projections, and the rank-raising gamma) realize the
 Goldman-Rota recurrence at the level of vector spaces and drive the Jordan
 basis construction in :mod:`qjordan.sjb`.  ``verify_decomposition``
@@ -24,7 +25,7 @@ from functools import cache
 import numpy as np
 
 from .cyclotomic import CycInt
-from .gflinalg import Subspace, mu_apply, subspaces_from_matrix_batch
+from .gflinalg import Subspace, inv_table, mu_apply, subspaces_from_matrix_batch
 from .lattice import (
     LatticeVector,
     _accumulate,
@@ -69,59 +70,84 @@ def characters(n: int, q: int):
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """Orbit of one subspace with the full action table.
+    """Orbit of one subspace X outside the hyperplane, built on its stabilizer.
 
-    orbit        -- the distinct images, sorted canonically
-    group_index  -- group_index[g] = position of (g . base) for the g-th
-                    group vector in lexicographic order; group vector 0 is
-                    the identity, so group_index[0] is the base's position
+    orbit       -- the distinct images a . X, sorted canonically
+    shifts      -- shifts[i] is a group vector that sends X to orbit[i]: a
+                   (len(orbit), n) int8 array, one row per coset of S
+    stabilizer  -- S = X intersect F_q^n, the group vectors fixing X, as a
+                   subspace of F_q^n; its matrix is a basis of S
     """
 
     orbit: tuple[Subspace, ...]
-    group_index: tuple[int, ...]
+    shifts: np.ndarray
+    stabilizer: Subspace
 
 
 @cache
 def orbit_table(x: Subspace) -> OrbitTable:
-    """The orbit of x, a subspace outside the hyperplane, with its action table."""
+    """The orbit of x, a subspace outside the hyperplane, with one group
+    vector per image and a basis of the stabilizer.
+
+    The vector a fixes x exactly when (a, 0) lies in x, so the stabilizer
+    is S = x intersect F_q^n and the orbit has one image per coset of S.
+    Let column j be the last column of x's normal form with a term on the
+    new coordinate.  Subtracting multiples of it from the columns before
+    it clears that coordinate and leaves the other columns in normal form:
+    a basis of S with the pivot rows of x but column j's.  Each coset of S
+    has exactly one vector that is zero on those pivot rows, so only the
+    q^(n - dim S) vectors supported off them are applied and reduced.
+    """
     n, q = x.n - 1, x.q
     if n < 0 or not x.matrix[n].any():
         raise ValueError(f"{x!r} is contained in the fixed hyperplane")
     m = x.matrix.astype(np.int64)
-    shifts = all_coordinate_vectors(n, q)  # one row per group vector, lex order
+    j = int(np.flatnonzero(m[n])[-1])
+    factors = m[n] * inv_table(q)[m[n, j]] % q
+    basis = np.delete((m - m[:, j : j + 1] * factors) % q, j, axis=1)
+    stabilizer = Subspace._make(q, n, basis[:n])
+    pivots = set(stabilizer.pivot_rows())
+    free = [r for r in range(n) if r not in pivots]
+    shifts = np.zeros((q ** len(free), n), dtype=np.int64)
+    shifts[:, free] = all_coordinate_vectors(len(free), q)
     mats = np.empty((len(shifts), x.n, x.k), dtype=np.int64)
     mats[:, :n, :] = (m[:n, :][None, :, :] + shifts[:, :, None] * m[n, :][None, None, :]) % q
     mats[:, n, :] = m[n, :]
     images = subspaces_from_matrix_batch(q, mats)
-    orbit = tuple(sorted(set(images), key=Subspace.sort_key))
-    position = {s: i for i, s in enumerate(orbit)}
-    return OrbitTable(orbit, tuple(position[img] for img in images))
-
-
-@cache
-def _char_exponents(q: int, c: tuple[int, ...]) -> tuple[int, ...]:
-    """c . a mod q for every group vector a, in the lexicographic order of
-    ``all_coordinate_vectors``."""
-    vecs = all_coordinate_vectors(len(c), q)
-    return tuple(int(e) for e in vecs @ np.asarray(c, dtype=np.int64) % q)
+    order = sorted(range(len(images)), key=lambda i: images[i].sort_key())
+    return OrbitTable(
+        tuple(images[i] for i in order), shifts[order].astype(np.int8), stabilizer
+    )
 
 
 def p_chi(chi: Character, x: Subspace) -> LatticeVector:
     """The projection sum over the group: sum_a conj(chi(a)) * (a . x).
 
-    Kept unnormalized so every coefficient stays in Z[w]; the result is zero
-    exactly when chi is nontrivial on the stabilizer of x.  Each orbit
-    coefficient is accumulated as a histogram of root-of-unity exponents.
+    Kept unnormalized so every coefficient stays in Z[w].  Summed over the
+    coset a + S of the stabilizer S, the terms on a . x give conj(chi(a))
+    times the sum of conj(chi) over S, which is |S| when chi is trivial on
+    S and 0 otherwise.  So the result is zero when chi is nontrivial on S,
+    and otherwise puts |S| w^(-c.a) on each orbit image a . x, a single
+    root count per coefficient.
     """
     if x.n != chi.n + 1:
         raise ValueError(f"x lives in ambient {x.n}, character wants {chi.n + 1}")
     table = orbit_table(x)
     q = x.q
-    hist = [[0] * q for _ in table.orbit]
-    for idx, e in zip(table.group_index, _char_exponents(q, chi.c)):
-        hist[idx][-e % q] += 1
-    coeffs = [CycInt.from_root_counts(q, counts) for counts in hist]
-    return LatticeVector._of(q, x.n, dict(zip(table.orbit, coeffs)))
+    c = np.asarray(chi.c, dtype=np.int64)
+    if (c @ table.stabilizer.matrix % q).any():
+        return LatticeVector._of(q, x.n, {})
+    size = q**table.stabilizer.k
+    roots: dict[int, CycInt] = {}  # exponent c.a -> |S| w^(-c.a)
+    terms = {}
+    for sub, e in zip(table.orbit, (table.shifts @ c % q).tolist()):
+        coeff = roots.get(e)
+        if coeff is None:
+            counts = [0] * q
+            counts[-e % q] = size
+            coeff = roots[e] = CycInt.from_root_counts(q, counts)
+        terms[sub] = coeff
+    return LatticeVector._of(q, x.n, terms)
 
 
 def theta(v: LatticeVector) -> LatticeVector:
@@ -162,12 +188,14 @@ def _mu_hat(hyper: Subspace, sub: Subspace) -> Subspace:
     return mu_apply(hyper, sub).hat()
 
 
-def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
+def gamma(chi: Character, v: LatticeVector, images: dict | None = None) -> LatticeVector:
     """Rank-raising map from B_q(n-1) vectors into the chi-isotypic block.
 
     Composition of the hyperplane reparametrization with Y -> p(chi)(Y-hat);
     commutes with the up operators and scales inner products of rank-k
-    vectors by q^(n+k).
+    vectors by q^(n+k).  ``images`` is a table from each subspace Y to its
+    image, filled as Y is met: pass one dict for all the vectors mapped
+    under chi, and p_chi runs once per subspace.
     """
     if chi.is_trivial:
         raise ValueError("gamma requires a nontrivial character")
@@ -175,12 +203,15 @@ def gamma(chi: Character, v: LatticeVector) -> LatticeVector:
     if v.n != n - 1:
         raise ValueError(f"gamma input must live in ambient {n - 1}, got {v.n}")
     hyper = find_hyperplane(chi)
-    images = (
-        (img, c * coeff)
-        for sub, coeff in v.items()
-        for img, c in p_chi(chi, _mu_hat(hyper, sub)).items()
-    )
-    return LatticeVector._of(v.q, n + 1, _accumulate(images))
+    if images is None:
+        images = {}
+    terms = []
+    for sub, coeff in v.items():
+        image = images.get(sub)
+        if image is None:
+            image = images[sub] = p_chi(chi, _mu_hat(hyper, sub))
+        terms.extend((img, c * coeff) for img, c in image.items())
+    return LatticeVector._of(v.q, n + 1, _accumulate(terms))
 
 
 def verify_decomposition(n: int, q: int) -> Report:

@@ -167,8 +167,9 @@ class LatticeVector:
         return LatticeVector._of(self.q, self.n, {s: -c for s, c in self._terms.items()})
 
     def __mul__(self, scalar) -> LatticeVector:
-        coeff = self._as_coeff(scalar)
-        if coeff.is_zero:
+        # an int scales the coefficients slot by slot, with no ring product
+        coeff = scalar if type(scalar) is int else self._as_coeff(scalar)
+        if not coeff:
             return LatticeVector.zero(self.q, self.n)
         return LatticeVector._of(self.q, self.n, {s: c * coeff for s, c in self._terms.items()})
 
@@ -475,7 +476,8 @@ def up_mismatches(
     rank, so a stray term gets the verdict ``up_apply`` gives it.  Each
     target column (a cover of a source, or a subspace in a successor's
     support) gathers the sources it covers, and ``_image_mismatches`` sums
-    and compares them.
+    and compares them.  The targets are numbered by their number of
+    sources, so the targets of each count take one run of columns.
     """
     if len(vectors) != len(successors):
         raise ValueError(f"{len(vectors)} vectors but {len(successors)} successors")
@@ -490,19 +492,25 @@ def up_mismatches(
     for v in successors:
         for sub in v._terms:
             inside.setdefault(sub, [])
-    targets = {sub: t for t, sub in enumerate(inside)}
-    # each target's sources, padded with the index of the zero column past them
-    width = max(map(len, inside.values()), default=0)
-    gather = np.full((len(inside), width), len(sources), dtype=np.intp)
-    for row, cols in zip(gather, inside.values()):
-        row[: len(cols)] = cols
+    by_count: dict[int, list[Subspace]] = {}
+    for sub, cols in inside.items():
+        by_count.setdefault(len(cols), []).append(sub)
+    targets: dict[Subspace, int] = {}
+    gather = []
+    for count, subs in by_count.items():
+        for sub in subs:
+            targets[sub] = len(targets)
+        rows = [inside[sub] for sub in subs]
+        gather.append(np.array(rows, dtype=np.intp).reshape(len(subs), count))
     return _image_mismatches(vectors, sources, successors, targets, gather)
 
 
 def _image_mismatches(vectors, sources, expected, targets, gather, scale=1) -> np.ndarray:
     """A bool array whose entry i says whether M(vectors[i]) != scale *
-    expected[i], where target column t of the 0/1 map M sums the source
-    columns in row t of ``gather``, padded with len(sources) (a zero column).
+    expected[i], where the 0/1 map M sends the source columns to the
+    target columns as ``gather`` lists: a sequence of (T_g, d_g) arrays
+    that take the target columns in order, each row the d_g source
+    columns one target sums.  The work is the number of incidences.
 
     Rows go through in blocks of about _UP_BLOCK plane entries, one
     coefficient plane at a time; when ``expected`` is ``vectors`` on the
@@ -520,17 +528,20 @@ def _image_mismatches(vectors, sources, expected, targets, gather, scale=1) -> n
         rows = slice(lo, lo + step)
         block = vectors[rows]
         shape = (block[0].q - 1, len(block))
-        # one column past the sources stays zero: the padding index
-        planes = _planes(block, sources, np.zeros(shape + (len(sources) + 1,), dtype))
+        planes = _planes(block, sources, np.zeros(shape + (len(sources),), dtype))
         if same:
-            expect = planes[..., :-1]
+            expect = planes
         else:
             expect = _planes(expected[rows], targets, np.zeros(shape + (len(targets),), dtype))
         image = np.empty((len(block), len(targets)), dtype=dtype)
         for plane, want in zip(planes, expect):
             np.multiply(want, -scale, out=image)  # zero where M v = scale * expected
-            for slot in gather.T:
-                image += plane[:, slot]
+            start = 0
+            for group in gather:
+                part = image[:, start : start + len(group)]
+                for slot in group.T:
+                    part += plane[:, slot]
+                start += len(group)
             out[rows] |= image.any(axis=1)
     return out
 

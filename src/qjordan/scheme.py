@@ -180,7 +180,7 @@ def _slice_verdicts(n: int, m: int, q: int, chains, lam: int) -> set[int]:
     neighbours = np.flatnonzero(rel == min(m, 1)).reshape(len(vertices), -1)
     neighbours %= len(vertices)  # flat positions -> columns
     vectors = [vec for _, vec in judged]
-    bad = _image_mismatches(vectors, index_of, vectors, index_of, neighbours, lam)
+    bad = _image_mismatches(vectors, index_of, vectors, index_of, [neighbours], lam)
     return {ci for (ci, _), wrong in zip(judged, bad.tolist()) if not wrong}
 
 

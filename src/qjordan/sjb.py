@@ -87,6 +87,22 @@ class SJB:
         return tuple(c for c in self.chains if c.start_rank == k)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector paused, then restore
+    the caller's setting, also on an exception.  A basis under
+    construction, its payload and a parsed basis are trees of fresh
+    containers with no cycle, so a collection while they grow walks them
+    all and frees none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def construct_sjb(n: int, q: int) -> SJB:
     """Build the orthogonal symmetric Jordan basis of V(B_q(n))."""
     check_field_order(q)
@@ -94,9 +110,10 @@ def construct_sjb(n: int, q: int) -> SJB:
         raise ValueError(f"n must be >= 0, got {n}")
     # F_q^0 has no nontrivial character, so level 0 also stands in for
     # level -1 when level 1 is built
-    prev = cur = _level_zero(q)
-    for _ in range(n):
-        prev, cur = cur, _next_level(cur, prev)
+    with _collector_paused():
+        prev = cur = _level_zero(q)
+        for _ in range(n):
+            prev, cur = cur, _next_level(cur, prev)
     return cur
 
 
@@ -141,9 +158,10 @@ def _next_level(level_n: SJB, level_n1: SJB) -> SJB:
         keyed.append(((k + 1, 0, parent_idx, 1), JordanChain(k + 1, zs)))
 
     for char_idx, chi in enumerate(characters(n, q)):
+        images: dict = {}  # the p(chi) images of this character, by subspace
         for parent_idx, parent in enumerate(level_n1.chains):
             k = parent.start_rank
-            vectors = tuple(gamma(chi, v) for v in parent.vectors)
+            vectors = tuple(gamma(chi, v, images) for v in parent.vectors)
             keyed.append(((k + 1, 1 + char_idx, parent_idx, 0), JordanChain(k + 1, vectors)))
 
     keyed.sort(key=lambda kv: kv[0])
@@ -263,21 +281,6 @@ def _rank_slices(basis: SJB) -> dict[int, tuple[list[int], list, list]]:
 
 
 # -- serialization -------------------------------------------------------------
-
-
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic garbage collector paused, then restore
-    the caller's setting, also on an exception.  A basis payload and a
-    parsed basis are trees of fresh containers with no cycle, so a
-    collection while they grow walks them all and frees none."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def sjb_to_json(basis: SJB) -> dict:

@@ -21,7 +21,7 @@ from qjordan import (
 from qjordan import cli, haction, scheme
 from qjordan.cli import main
 from qjordan.gflinalg import MAX_AMBIENT_SIZE
-from qjordan.qcombinatorics import int_str, q_binomial
+from qjordan.qcombinatorics import galois_number, int_str, q_binomial
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +154,58 @@ def test_decompose_gram_cap_is_the_gram_it_takes(monkeypatch):
         assert not cli._decompose_images_past_cap(n, q), (q, n)
         monkeypatch.setattr(cli, "MAX_DECOMPOSE_IMAGES", counts[-1] - 1)
         assert cli._decompose_images_past_cap(n, q), (q, n)
+
+
+def test_construct_and_scheme_refuse_a_basis_past_the_cap():
+    # refused before any work, so each run ends in well under its timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    commands = [
+        ["construct", "--q", "2", "--n", "40"],
+        ["construct", "--q", "2", "--n", "8"],
+        ["construct", "--q", "3", "--n", "10000"],
+        ["scheme", "--q", "2", "--n", "40", "--m", "1"],
+        ["scheme", "--q", "3", "--n", "7", "--m", "2"],
+    ]
+    for argv in commands:
+        out = subprocess.run(
+            [sys.executable, "-m", "qjordan", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert out.returncode == 2 and out.stdout == "", argv
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, argv
+        assert f"more than {cli.MAX_BASIS_VECTORS} vectors, the most {argv[0]}" in out.stderr
+
+
+def test_basis_cap_is_the_galois_number():
+    # the sizes the benchmark and the README build, and the largest binary
+    # and ternary ones, fit under the cap
+    for q, n in [(2, 0), (2, 5), (3, 4), (7, 3), (2, 6), (2, 7), (3, 6), (5, 5)]:
+        assert not cli._basis_past_cap(n, q), (q, n)
+    for q, n in [(2, 8), (3, 7), (2, 17), (2, 18), (2, 10**9)]:
+        assert cli._basis_past_cap(n, q), (q, n)
+    assert galois_number(7, 2) == 29_212 and galois_number(6, 3) == 56_632
+    assert galois_number(8, 2) == 417_199
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv", [("construct", "--q", "2", "--n", "7"), ("scheme", "--q", "3", "--n", "6", "--m", "3")]
+)
+def test_largest_bases_below_the_cap_are_built(monkeypatch, argv):
+    def construct(n, q):
+        raise _Admitted(n, q)
+
+    monkeypatch.setattr(cli, "construct_sjb", construct)
+    with pytest.raises(_Admitted):
+        main(list(argv))
 
 
 def test_scheme_command(capsys):

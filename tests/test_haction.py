@@ -138,6 +138,56 @@ def test_p_chi_vanishing_matches_stabilizer_criterion():
                 assert p_chi(chi, x).is_zero != trivial_on_stab
 
 
+def p_chi_by_definition(chi, images):
+    """sum over every group vector a of conj(chi(a)) (a . x), given the
+    images a . x in the order of ``group_vectors``."""
+    q, terms = chi.q, {}
+    for a, image in zip(group_vectors(chi.n, q), images):
+        root = CycInt.omega(q, -exponent(chi, a) % q)
+        terms[image] = terms[image] + root if image in terms else root
+    return LatticeVector(q, chi.n + 1, terms)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 2), (2, 4)])
+def test_p_chi_matches_its_definition_over_the_whole_group(q, n):
+    outside = A_elements(n + 1, q)
+    for x in outside:
+        images = [act(a, x) for a in group_vectors(n, q)]
+        for c in group_vectors(n, q):
+            chi = Character(q, c)
+            assert p_chi(chi, x) == p_chi_by_definition(chi, images), (x, c)
+    # every hat is covered, and as many non-hats besides
+    hats = {z.hat() for z in enumerate_all(n, q)}
+    assert hats < set(outside)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 2), (2, 4)])
+def test_orbit_table_group_vectors_and_stabilizer_basis(q, n):
+    for x in A_elements(n + 1, q):
+        table = orbit_table(x)
+        assert table.stabilizer == Subspace.span(q, n, stabilizer(x))
+        assert table.shifts.shape == (len(table.orbit), n)
+        assert [act(tuple(a), x) for a in table.shifts.tolist()] == list(table.orbit)
+        assert list(table.orbit) == sorted(table.orbit, key=Subspace.sort_key)
+        assert len(table.orbit) == q ** (n - table.stabilizer.k)
+
+
+def test_orbit_table_reduces_one_matrix_per_coset(monkeypatch):
+    batches = []
+    batch = haction.subspaces_from_matrix_batch
+
+    def recorded(q, mats):
+        batches.append(len(mats))
+        return batch(q, mats)
+
+    monkeypatch.setattr(haction, "subspaces_from_matrix_batch", recorded)
+    for q, n in [(2, 3), (3, 2), (2, 4)]:
+        for x in A_elements(n + 1, q):
+            table = orbit_table.__wrapped__(x)  # past the cache: reduce afresh
+            assert batches.pop() == len(table.orbit) == q ** (n - table.stabilizer.k)
+            assert not batches
+
+
 def test_theta_examples():
     zero1 = LatticeVector.basis(Subspace.zero(2, 1))
     img = theta(zero1)

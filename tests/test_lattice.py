@@ -25,7 +25,7 @@ from qjordan import (
     up_apply,
     up_mismatches,
 )
-from qjordan.lattice import _plane_dtype
+from qjordan.lattice import _image_mismatches, _plane_dtype
 
 from fq import covers
 
@@ -441,3 +441,30 @@ def test_up_mismatches_edges_blocks_and_big_coefficients(monkeypatch):
         up_mismatches(vectors, successors[:-1])
     with pytest.raises(ValueError):
         up_mismatches(vectors[:1], [LatticeVector.zero(3, 4)])
+
+
+def test_up_mismatches_gathers_each_incidence_once(monkeypatch):
+    """The targets come in runs of one source count each, so the gather
+    holds every (cover, source) incidence once, with no padding."""
+    # five of the 13 lines of F_3^3: a plane holds up to three of them
+    vectors = [LatticeVector.basis(x) * (i + 1) for i, x in enumerate(enumerate_rank(3, 1, 3)[:5])]
+    successors = [up_apply(v) for v in vectors]
+    # the whole space is a target that covers no source
+    successors[0] = successors[0] + LatticeVector.basis(Subspace.full(3, 3))
+    seen = []
+
+    def recorded(*args):
+        seen.append(args)
+        return _image_mismatches(*args)
+
+    monkeypatch.setattr("qjordan.lattice._image_mismatches", recorded)
+    assert up_mismatches(vectors, successors).tolist() == [True] + [False] * (len(vectors) - 1)
+    ((_, sources, _, targets, gather),) = seen
+    assert list(targets.values()) == list(range(len(targets)))
+    assert sorted(g.shape[1] for g in gather) == [0, 1, 2, 3]
+    rows = [row for g in gather for row in g.tolist()]
+    assert len(rows) == len(targets)
+    gathered = [(target, col) for target, row in zip(targets, rows) for col in row]
+    assert sorted(gathered, key=str) == sorted(
+        ((cover, col) for sub, col in sources.items() for cover in covers_of(sub)), key=str
+    )

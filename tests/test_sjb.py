@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from qjordan import (
     up_apply,
     verify_sjb,
 )
+from qjordan import haction, sjb
 from qjordan.cli import main
 
 from cycrank import cyc_matrix_rank
@@ -488,6 +490,47 @@ def test_the_collector_state_comes_back(enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_construction_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    seen = []
+    next_level = sjb._next_level
+
+    def recorded(level_n, level_n1):
+        seen.append(gc.isenabled())
+        return next_level(level_n, level_n1)
+
+    def failing(level_n, level_n1):
+        raise RuntimeError("stop")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(sjb, "_next_level", recorded)
+        assert construct_sjb(3, 2).vector_count == galois_number(3, 2)
+        assert seen == [False] * 3 and gc.isenabled() is enabled
+        monkeypatch.setattr(sjb, "_next_level", failing)
+        with pytest.raises(RuntimeError, match="^stop$"):
+            construct_sjb(3, 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("q, n", [(2, 5), (3, 3), (5, 2)])
+def test_construction_takes_each_character_projection_once_per_level(q, n, monkeypatch):
+    asked = Counter()
+    p_chi = haction.p_chi
+
+    def counted(chi, x):
+        asked[chi, x] += 1  # x.n names the level
+        return p_chi(chi, x)
+
+    monkeypatch.setattr(haction, "p_chi", counted)
+    assert construct_sjb(n, q).vector_count == galois_number(n, q)
+    assert asked and max(asked.values()) == 1
+    assert {x.n for _, x in asked} == set(range(2, n + 1))
 
 
 def tamper(payload, chain_idx=0, vector_idx=0, term_idx=0):
