@@ -38,7 +38,7 @@ MAX_TREE_COUNT_DIGITS = 500_000
 # The most theta and gamma images `decompose` builds: N = G(n) + (q^n - 1)
 # G(n-1), the images outside the hyperplane that every check but the last
 # runs over.  (q, n) = (7, 3) has 3,536, the most below the cap, and takes
-# 16 s at 155 MB peak RSS on a 2-core VM; (2, 6), the smallest binary size
+# 8.7 s at 142 MB peak RSS on a 2-core VM; (2, 6), the smallest binary size
 # past it, has 26,387, and no size past the cap has been run.
 MAX_DECOMPOSE_IMAGES = 4096
 # The most vectors of a basis `construct` and `scheme` build: the Galois

@@ -15,7 +15,6 @@ sets elsewhere in the package key directly on ``Subspace`` values.  Distinct
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -229,9 +228,8 @@ class Subspace:
 
     @classmethod
     def from_json(cls, q: int, obj: dict) -> Subspace:
-        """Read stored columns.  Columns already in Schubert normal form are
-        recognised by an intern-table lookup; any others are reduced, so
-        imported data is never trusted to be normal form."""
+        """Read stored columns and reduce them to normal form, so imported
+        data is never trusted to be normal form."""
         n, k = json_int(obj["n"], "subspace n"), json_int(obj["k"], "subspace k")
         cols = obj["cols"]
         if len(cols) != k:
@@ -242,18 +240,6 @@ class Subspace:
             # exact types, as json_int reads them: no float, str or bool
             if not _INT.issuperset(map(type, col)):
                 raise ValueError(f"column {j} must hold integers, got {col!r}")
-        # the entries row-major, the order of the intern key's bytes (a list:
-        # a tuple built from an iterator would be resized and then parked in
-        # the free list of its final size, one per term)
-        entries = list(chain.from_iterable(zip(*cols)))
-        residues = not entries or (min(entries) >= 0 and max(entries) < q)
-        if residues and q < MAX_FIELD_ORDER:
-            # only _make fills the table, and only with normal forms over
-            # fields below the cap (whose residues fit the key's bytes), so a
-            # hit on the stored entries proves the columns canonical
-            hit = cls._interned.get((q, n, k, bytes(entries)))
-            if hit is not None:
-                return hit
         m = np.zeros((n, k), dtype=np.int64)
         for j, col in enumerate(cols):
             m[:, j] = col
@@ -261,7 +247,7 @@ class Subspace:
         if sub.k != k:
             raise ValueError(f"the {k} columns span a subspace of dimension {sub.k}")
         # from_matrix reads entries mod q; a stored entry must be a residue
-        if not residues:
+        if m.size and (m.min() < 0 or m.max() >= q):
             raise ValueError(f"column entries must lie in 0..{q - 1}, got {cols!r}")
         return sub
 

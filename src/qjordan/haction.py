@@ -14,7 +14,7 @@ the character projections, and the rank-raising gamma) realize the
 Goldman-Rota recurrence at the level of vector spaces and drive the Jordan
 basis construction in :mod:`qjordan.sjb`.  ``verify_decomposition``
 certifies the split they give, taking inner products (``gram_pairs``) only
-between images that share a subspace.
+within groups of images that share subspaces.
 """
 
 from __future__ import annotations
@@ -222,9 +222,10 @@ def verify_decomposition(n: int, q: int) -> Report:
 
     Each U identity is decided for all its vectors by one ``up_mismatches``
     call.  Every inner-product identity is read off the images' supports
-    and one ``gram_pairs`` list, the exact inner products of the images
-    that share a subspace: an image meets only the images on its own
-    orbit, and every pair the list leaves out is 0.  Each failure names the
+    and one ``gram_pairs`` list, the exact nonzero inner products of the
+    images: an image meets only the images on its own orbit, so the Gram
+    goes group by group, and every pair the list leaves out is 0.  gamma
+    reads p(chi) through one table per character.  Each failure names the
     input that a row-major scan over all pairs meets first.
     """
     if n < 1:
@@ -236,7 +237,8 @@ def verify_decomposition(n: int, q: int) -> Report:
     pairs = [(chi, y) for chi in chars for y in ys]  # gamma's inputs, character-major
     embedded = [LatticeVector.basis(x).embed(n + 1) for x in xs]
     theta_images = [theta(LatticeVector.basis(x)) for x in xs]
-    gamma_images = [gamma(chi, LatticeVector.basis(y)) for chi, y in pairs]
+    tables = {chi: {} for chi in chars}  # gamma's p(chi) images, one table per character
+    gamma_images = [gamma(chi, LatticeVector.basis(y), tables[chi]) for chi, y in pairs]
     outside, nt = theta_images + gamma_images, len(theta_images)
 
     # dimension counts: G(n+1) = G(n) + G(n) + (q^n - 1) G(n-1)
@@ -275,10 +277,10 @@ def verify_decomposition(n: int, q: int) -> Report:
     bad = "" if hit is None else f"splitting fails on {xs[hit[0]]!r}"
     checks.append(Check("up-splitting", bad))
 
-    # inner products: the pairs of theta and gamma images (which live
-    # outside the hyperplane) that share a subspace, against the diagonal
-    # they should give.  A pair not listed is 0, as an off-diagonal pair
-    # should be, and a zero image lists no diagonal, so that counts as a miss
+    # inner products: the nonzero pairs of theta and gamma images (which
+    # live outside the hyperplane), against the diagonal they should give.
+    # A pair not listed is 0, as an off-diagonal pair should be, and a zero
+    # image lists no diagonal, so that counts as a miss
     listed, values = gram_pairs(outside)
     left, right = listed.T
     diagonal = left == right
@@ -312,7 +314,8 @@ def verify_decomposition(n: int, q: int) -> Report:
     checks.append(Check("theta-intertwining", bad))
 
     up_y = {y: up_apply(LatticeVector.basis(y)) for y in ys}
-    hit = _first_true(up_mismatches(gamma_images, [gamma(chi, up_y[y]) for chi, y in pairs]))
+    intertwined = [gamma(chi, up_y[y], tables[chi]) for chi, y in pairs]
+    hit = _first_true(up_mismatches(gamma_images, intertwined))
     bad = ""
     if hit is not None:
         chi, y = pairs[hit[0]]

@@ -388,83 +388,62 @@ def gram(vectors: Sequence[LatticeVector]) -> np.ndarray:
 
 
 def gram_pairs(vectors: Sequence[LatticeVector]) -> tuple[np.ndarray, np.ndarray]:
-    """The inner products <v, w> of a list of vectors that can be nonzero,
-    exactly: the sparse form of ``gram`` for vectors that rarely meet.
+    """The nonzero upper triangle of ``gram``, for vectors that rarely meet.
 
     Returns ``(pairs, values)``.  ``pairs`` is a (P, 2) intp array of the
-    index pairs (i, j), i <= j, whose supports share a subspace, in
+    index pairs (i, j), i <= j, whose inner product is nonzero, in
     row-major order; ``values[p]`` holds ``inner(vectors[i],
-    vectors[j]).coeffs``, a (P, q - 1) array.  A pair that is not listed
-    shares no subspace, so its inner product is 0; a listed one may still
-    sum to 0.  For an empty list both arrays are empty.
+    vectors[j]).coeffs``, a (P, q - 1) array.  A nonzero vector has a
+    nonzero norm, so it always lists its diagonal.  For an empty list both
+    arrays are empty.
 
-    The terms are grouped by subspace, and each term is multiplied by the
-    conjugate of every term after it on its subspace, itself included:
-    deg (deg + 1) / 2 products on a subspace in deg supports, against the
-    N^2 S of ``gram``.  Each product lands in root-count slots as in
-    ``gram``.  A pair sums over at most L shared subspaces, L the longest
-    support, so int64 is used only when 2 (q-1) L max|c|^2 < 2^63 bounds
-    every partial sum; otherwise the planes hold Python ints.  The products
-    go through in chunks of about _PAIR_BLOCK plane entries, each summed by
-    pair into the running totals, so the work space beyond the result is
-    O(chunk).
+    Vectors that share a subspace, directly or through other vectors, form
+    a group, and vectors of different groups are orthogonal.  A union-find
+    over the vectors, each joined to the first vector on each of its
+    subspaces, finds the groups.  Whole groups are packed into blocks while
+    vectors x terms stays within _GRAM_BLOCK (a larger group is a block of
+    its own), and each block takes one exact ``gram``.
     """
     if not vectors:
         return np.zeros((0, 2), dtype=np.intp), np.zeros((0, 0), dtype=np.int64)
     for v in vectors:
         vectors[0]._check_compatible(v)
-    q, count = vectors[0].q, len(vectors)
-    index: dict[Subspace, int] = {}
-    cols, rows, coeffs = [], [], []
-    for row, v in enumerate(vectors):
-        for sub, coeff in v._terms.items():
-            cols.append(index.setdefault(sub, len(index)))
-            rows.append(row)
-            coeffs.append(coeff.coeffs)
-    longest = max(map(len, vectors))
-    dtype = _plane_dtype(2 * (q - 1) * max(longest, 1) * _max_coeff(vectors) ** 2)
-    cols = np.asarray(cols, dtype=np.intp)
-    # the terms by subspace, each subspace's in row order
-    order = np.argsort(cols, kind="stable")
-    rows = np.asarray(rows, dtype=np.int64)[order]
-    planes = np.array(coeffs, dtype=dtype).reshape(-1, q - 1).T[:, order]
-    degree = np.bincount(cols)
-    # the products each term starts: with itself and the later terms on its
-    # subspace, up to the subspace's last term
-    later = np.repeat(np.cumsum(degree), degree) - np.arange(len(rows))
-    ends = np.cumsum(later)
-    keys = np.zeros(0, dtype=np.int64)
-    sums = np.zeros((q - 1, 0), dtype=dtype)
-    budget = max(1, _PAIR_BLOCK // (q - 1))
-    lo = 0
-    while lo < len(later):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - later[lo] + budget, "right")))
-        counts = later[lo:hi]
-        a = np.repeat(np.arange(lo, hi), counts)
-        b = a + np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
-        keys = np.concatenate([keys, rows[a] * count + rows[b]])
-        sums = np.concatenate([sums, _conj_products(planes[:, a], planes[:, b])], axis=1)
-        # the running totals: one column per distinct pair, in key order
-        order = np.argsort(keys, kind="stable")
-        keys, sums = keys[order], sums[:, order]
-        heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        keys, sums = keys[heads], np.add.reduceat(sums, heads, axis=1)
-        lo = hi
-    pairs = np.stack(divmod(keys, count), axis=1).astype(np.intp)
-    return pairs, np.ascontiguousarray(sums.T)
-
-
-def _conj_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The power-basis planes of left * conj(right), entry by entry, for two
-    (q-1, C) coefficient planes: plane i times plane j lands in root-count
-    slot (i - j) mod q, and slot q-1 folds into every power-basis slot."""
-    q = len(left) + 1
-    slots = np.zeros((q, left.shape[1]), dtype=left.dtype)
-    prod = np.empty_like(slots[0])
-    for i in range(q - 1):
-        for j in range(q - 1):
-            slots[(i - j) % q] += np.multiply(left[i], right[j], out=prod)
-    return slots[:-1] - slots[-1]
+    count = len(vectors)
+    root = list(range(count))  # each tree's root is its least vector
+    first: dict[Subspace, int] = {}
+    for i, v in enumerate(vectors):
+        for sub in v._terms:
+            a, b = i, first.setdefault(sub, i)
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            root[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}  # by least vector, each in index order
+    for i in range(count):
+        root[i] = root[root[i]]  # root[i] <= i, whose root is already final
+        groups.setdefault(root[i], []).append(i)
+    blocks, rows, terms = [], [], 0
+    for group in groups.values():
+        size = sum(len(vectors[i]) for i in group)
+        if rows and (len(rows) + len(group)) * (terms + size) > _GRAM_BLOCK:
+            blocks.append(rows)
+            rows, terms = [], 0
+        rows += group
+        terms += size
+    blocks.append(rows)
+    left, right, values = [], [], []
+    for rows in blocks:
+        rows = np.sort(rows)
+        g = gram([vectors[i] for i in rows.tolist()])
+        i, j = np.nonzero(np.triu((g != 0).any(axis=2)))
+        left.append(rows[i])
+        right.append(rows[j])
+        values.append(g[i, j])
+    left, right = np.concatenate(left), np.concatenate(right)
+    order = np.argsort(left * count + right)
+    pairs = np.stack([left[order], right[order]], axis=1).astype(np.intp)
+    return pairs, np.concatenate(values)[order]
 
 
 def up_mismatches(
@@ -546,8 +525,7 @@ def _image_mismatches(vectors, sources, expected, targets, gather, scale=1) -> n
     return out
 
 
-_GRAM_BLOCK = 1 << 13  # plane entries per block of rows in gram
-_PAIR_BLOCK = 1 << 18  # plane entries of products per chunk in gram_pairs
+_GRAM_BLOCK = 1 << 13  # plane entries per block of rows in gram, and of groups in gram_pairs
 _UP_BLOCK = 1 << 16  # plane entries per block of rows in _image_mismatches
 
 

@@ -151,12 +151,27 @@ def mutate_one_image(rng, monkeypatch, n, q):
         y = LatticeVector.basis(rng.choice(enumerate_all(n - 1, q)))
         image = mutated(rng, gamma(chi, y), n, q)
         monkeypatch.setattr(
-            haction, "gamma", lambda c, v: image if c == chi and v == y else gamma(c, v)
+            haction,
+            "gamma",
+            lambda c, v, images=None: image if c == chi and v == y else gamma(c, v, images),
         )
 
 
 @pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_decomposition_verdicts_agree_with_a_brute_force_oracle(monkeypatch, q, n):
+    assert_verdicts_agree_with_the_oracle(monkeypatch, q, n)
+
+
+def test_decomposition_verdicts_agree_across_small_gram_blocks(monkeypatch):
+    # at (2,3) the 16 groups of images fill 12 blocks at a bound of 64
+    # vectors x terms, a few small groups to a block; an image mutated onto
+    # another group merges groups that sat in different blocks
+    monkeypatch.setattr("qjordan.lattice._GRAM_BLOCK", 64)
+    assert_verdicts_agree_with_the_oracle(monkeypatch, 2, 3)
+
+
+def assert_verdicts_agree_with_the_oracle(monkeypatch, q, n):
+    """Forty seeded mutations at (q, n), each checked against the oracle."""
     seen = defaultdict(set)
     for seed in range(40):
         rng = random.Random(seed)

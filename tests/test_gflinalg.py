@@ -253,9 +253,9 @@ def test_from_json_reduces_columns_that_are_not_canonical(data):
     assert Subspace.from_json(q, {"n": n, "k": k, "cols": cols}) is expect
 
 
-# each malformed subspace with the message it raises; the
-# canonical subspaces of these ambients are interned first, so an input that
-# reached the intern-table lookup too early would parse instead of failing
+# each malformed subspace with the message it raises; the canonical
+# subspaces of these ambients are interned first, so no message may depend
+# on which subspaces the process has already met
 MALFORMED_SUBSPACES = [
     (3, {"n": 0, "k": 1, "cols": [[]]}, "the 1 columns span a subspace of dimension 0"),
     # the dimension fault is named before the range fault
@@ -303,8 +303,8 @@ def test_field_order_is_capped_where_entries_fit_int8():
 
 
 def test_intern_table_holds_only_normal_forms():
-    # the recognition in from_json rests on this: every interned matrix
-    # is its own Schubert normal form
+    # equal subspaces are one object only if every interned matrix is its
+    # own Schubert normal form
     for q in (2, 3):
         enumerate_all(3, q)
         restrict(Subspace.full(q, 3).hat().embed(5), 4)

@@ -1,5 +1,7 @@
 """Group action, characters, projections and the lattice decomposition."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from qjordan import (
     find_hyperplane,
     gamma,
     inner,
+    mu_apply,
     p_chi,
     q_binomial,
     theta,
@@ -330,8 +333,8 @@ def test_gamma_scaling_names_a_scaled_image(monkeypatch):
     target = enumerate_rank(n - 1, 1, q)[0]
     original = haction.gamma
 
-    def scaled(c, v):
-        image = original(c, v)
+    def scaled(c, v, images=None):
+        image = original(c, v, images)
         return image * 2 if c == chi and v == LatticeVector.basis(target) else image
 
     monkeypatch.setattr(haction, "gamma", scaled)
@@ -403,8 +406,8 @@ def test_rankset_character_blocks_names_the_first_bad_image(monkeypatch):
     stray = LatticeVector.basis(Subspace.zero(q, n + 1))
     original = haction.gamma
 
-    def mixed(chi, v):
-        image = original(chi, v)
+    def mixed(chi, v, images=None):
+        image = original(chi, v, images)
         hit = any((chi, i) in bad and v == LatticeVector.basis(y) for i, y in enumerate(ys))
         return image + stray if hit else image
 
@@ -439,9 +442,9 @@ def test_zero_images_fail_the_rank_checks(monkeypatch):
     def zero_theta(v):
         return LatticeVector.zero(q, n + 1) if v == LatticeVector.basis(x) else theta0(v)
 
-    def zero_gamma(c, v):
+    def zero_gamma(c, v, images=None):
         hit = c == chi and v == LatticeVector.basis(y)
-        return LatticeVector.zero(q, n + 1) if hit else gamma0(c, v)
+        return LatticeVector.zero(q, n + 1) if hit else gamma0(c, v, images)
 
     monkeypatch.setattr(haction, "theta", zero_theta)
     checks = {c.name: c for c in verify_decomposition(n, q).checks}
@@ -486,6 +489,30 @@ def test_verify_decomposition_applies_up_only_below_the_top_level(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (2, 4)])
+def test_verify_decomposition_asks_p_chi_once_per_character_and_subspace(monkeypatch, q, n):
+    calls = Counter()
+    original = haction.p_chi
+
+    def counted(chi, x):
+        calls[chi, x] += 1
+        return original(chi, x)
+
+    monkeypatch.setattr(haction, "p_chi", counted)
+    assert verify_decomposition(n, q).ok
+    # gamma's images and the intertwining images share one table per
+    # character, so each subspace gamma reaches is asked for once; the
+    # hyperplane count then asks for each hyperplane's hat under each chi
+    chars = list(characters(n, q))
+    want = Counter(
+        (chi, mu_apply(find_hyperplane(chi), y).hat())
+        for chi in chars
+        for y in enumerate_all(n - 1, q)
+    )
+    want.update((chi, x.hat()) for chi in chars for x in enumerate_rank(n, n - 1, q))
+    assert calls == want
+
+
 def test_theta_intertwining_names_the_first_bad_subspace(monkeypatch):
     n, q = 2, 3
     subs = enumerate_all(n, q)
@@ -510,8 +537,8 @@ def test_gamma_intertwining_names_the_first_bad_pair(monkeypatch):
     bad = {(chars[5], 0), (chars[2], 2), (chars[2], 3)}
     original = haction.gamma
 
-    def doubled(chi, v):
-        image = original(chi, v)
+    def doubled(chi, v, images=None):
+        image = original(chi, v, images)
         hit = any((chi, i) in bad and v == LatticeVector.basis(y) for i, y in enumerate(ys))
         return image * 2 if hit else image
 
@@ -583,8 +610,8 @@ def _gamma_with_extra_terms(extra):
     """gamma, with extra[(chi, y)] added to the image of (chi, y)."""
     original = haction.gamma
 
-    def patched(chi, v):
-        image = original(chi, v)
+    def patched(chi, v, images=None):
+        image = original(chi, v, images)
         for (c, y), more in extra.items():
             if c == chi and v == LatticeVector.basis(y):
                 image = image + more

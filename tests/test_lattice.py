@@ -307,17 +307,18 @@ def test_gram_blocks_agree(monkeypatch):
 
 
 def assert_pairs_match_inner(vectors, pairs, values):
-    """The listed pairs run row-major over i <= j with the inner products as
-    values, and every pair left out shares no subspace."""
+    """The listed pairs run row-major over i <= j with their nonzero inner
+    products as values, and every pair left out has inner product 0."""
     listed = [tuple(p) for p in pairs.tolist()]
     assert listed == sorted(set(listed)) and all(i <= j for i, j in listed)
     assert len(values) == len(listed)
     for (i, j), value in zip(listed, values):
         assert tuple(value) == inner(vectors[i], vectors[j]).coeffs, (i, j)
+        assert any(value), (i, j)
     for i, v in enumerate(vectors):
         for j in range(i, len(vectors)):
             if (i, j) not in listed:
-                assert not set(v.support()) & set(vectors[j].support()), (i, j)
+                assert inner(v, vectors[j]).is_zero, (i, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,7 +330,45 @@ def test_gram_pairs_match_inner(lists):
             assert_pairs_match_inner(vectors, *gram_pairs(vectors))
 
 
-def test_gram_pairs_edge_lists():
+@st.composite
+def gram_pair_cases(draw):
+    """Vectors on a few subspaces, so that many meet, with zero vectors, a
+    group A - B - C joined only through B at random places, and sometimes
+    coefficients past the int64 bound; and a value for _GRAM_BLOCK."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    subs = enumerate_all(n, q)
+    subs = draw(st.lists(st.sampled_from(subs), min_size=3, max_size=6, unique=True))
+    bound = 2**40 if draw(st.booleans()) else 50
+    coeffs = st.lists(st.integers(-bound, bound), min_size=q - 1, max_size=q - 1)
+
+    def vector(support):
+        return LatticeVector(q, n, {s: CycInt(q, tuple(draw(coeffs))) for s in support})
+
+    vectors = [
+        vector(draw(st.lists(st.sampled_from(subs), max_size=3, unique=True)))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    for support in ([subs[0]], [subs[0], subs[1]], [subs[1]]):
+        vectors.insert(draw(st.integers(0, len(vectors))), vector(support))
+    block = draw(st.sampled_from([1, 8, 1 << 13, 1 << 40]))
+    return vectors, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_pair_cases())
+def test_gram_pairs_is_the_nonzero_upper_triangle_of_gram(case):
+    vectors, block = case
+    g = gram(vectors)
+    want = [(i, j) for i in range(len(vectors)) for j in range(i, len(vectors)) if g[i, j].any()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qjordan.lattice._GRAM_BLOCK", block)
+        pairs, values = gram_pairs(vectors)
+    assert [tuple(p) for p in pairs.tolist()] == want
+    assert values.tolist() == [g[i, j].tolist() for i, j in want]
+
+
+def test_gram_pairs_edge_lists(monkeypatch):
     subs = enumerate_rank(2, 1, 3)
     v = LatticeVector(3, 2, {subs[0]: CycInt(3, (2, 1)), subs[1]: 5})
     apart = LatticeVector(3, 2, {subs[2]: CycInt(3, (1, -1))})
@@ -343,10 +382,22 @@ def test_gram_pairs_edge_lists():
     assert pairs.tolist() == [[0, 0], [0, 3], [1, 1], [3, 3]]
     for vectors in [[v, v], [v, apart], [apart, zero, v, apart]]:
         assert_pairs_match_inner(vectors, *gram_pairs(vectors))
-    # a listed pair can sum to zero: <v, w> = 1 - 1 on two shared subspaces
+    # a pair whose shared subspaces sum to 0 is left out: <v, w> = 1 - 1
     w = LatticeVector(3, 2, {subs[0]: 1, subs[1]: -1})
     pairs, values = gram_pairs([LatticeVector(3, 2, {subs[0]: 1, subs[1]: 1}), w])
-    assert pairs.tolist() == [[0, 0], [0, 1], [1, 1]] and values[1].tolist() == [0, 0]
+    assert pairs.tolist() == [[0, 0], [1, 1]] and values.tolist() == [[2, 0], [2, 0]]
+    # A and C meet only through B: one group, and the pair (A, C) is 0
+    a, c = LatticeVector.basis(subs[0]), LatticeVector.basis(subs[2])
+    b = a + c
+    pairs, _ = gram_pairs([a, apart, b, c])
+    assert pairs.tolist() == [[0, 0], [0, 2], [1, 1], [1, 2], [1, 3], [2, 2], [2, 3], [3, 3]]
+    # the last vector joins two groups, one of them through a vector that is
+    # not its group's root; with one group per block, (1, 2) is still listed
+    monkeypatch.setattr("qjordan.lattice._GRAM_BLOCK", 1)
+    s0, s1, s2 = enumerate_rank(2, 1, 5)[:3]
+    supports = [[s0], [s1], [s1, s2], [s0, s2]]
+    joined = [LatticeVector(5, 2, dict.fromkeys(support, 1)) for support in supports]
+    assert_pairs_match_inner(joined, *gram_pairs(joined))
     with pytest.raises(ValueError):
         gram_pairs([v, LatticeVector.basis(Subspace.zero(3, 3))])
 
@@ -376,7 +427,8 @@ def test_gram_pairs_fall_back_to_python_ints_past_the_int64_bound():
 
 
 def test_gram_pairs_chunks_agree(monkeypatch):
-    # the decomposition's images: many meet on a subspace, more do not
+    # the decomposition's images: many meet on a subspace, more do not; each
+    # group a block of its own, or all of them in one block
     n, q = 2, 3
     images = [theta(LatticeVector.basis(x)) for x in enumerate_all(n, q)] + [
         gamma(chi, LatticeVector.basis(y))
@@ -385,9 +437,10 @@ def test_gram_pairs_chunks_agree(monkeypatch):
     ]
     pairs, values = gram_pairs(images)
     assert 0 < len(pairs) < len(images) * (len(images) + 1) // 2
-    monkeypatch.setattr("qjordan.lattice._PAIR_BLOCK", 1)
-    small_pairs, small_values = gram_pairs(images)
-    assert np.array_equal(small_pairs, pairs) and np.array_equal(small_values, values)
+    for block in (1, 1 << 40):
+        monkeypatch.setattr("qjordan.lattice._GRAM_BLOCK", block)
+        small_pairs, small_values = gram_pairs(images)
+        assert np.array_equal(small_pairs, pairs) and np.array_equal(small_values, values)
     assert_pairs_match_inner(images, pairs, values)
 
 

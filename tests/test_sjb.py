@@ -272,8 +272,9 @@ def test_basis_bytes_match_the_recorded_digests(q, n):
     assert hashlib.sha256(text.encode()).hexdigest() == expect
 
 
-# counts the canonicalizations one parse makes, in a fresh interpreter whose
-# intern table starts empty
+# counts the canonicalizations one parse makes, in a fresh interpreter: the
+# document's table of parsed columns sends each distinct subspace through
+# Subspace.from_json once
 COUNT_CANONICALIZATIONS = """
 import json, sys
 import qjordan.gflinalg as gflinalg
